@@ -235,7 +235,11 @@ def _to_config(args) -> RunConfig:
     base = dict(budget=args.budget, jobs=args.jobs, out_format=args.out_format)
     sub = args.subcommand
     if sub == "translate":
-        if Path(args.value).is_file():
+        try:
+            is_file = Path(args.value).is_file()
+        except OSError:     # e.g. a word too long to be a file name
+            is_file = False
+        if is_file:
             return RunConfig("translate", inputs=(args.value,), **base)
         if any(c not in ALPHABET for c in args.value):
             raise CliError(f"{args.value!r} is neither a readable file nor "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (
-    Digraph, connected_components, enumerate_digraphs, induced_subdigraph,
+    Digraph, _bits, connected_components, enumerate_digraphs, induced_subdigraph,
     is_isomorphic, underlying,
 )
 from .search import WorkBudgetExceeded
@@ -55,28 +55,27 @@ def hom_exists(d1: Digraph, d2: Digraph,
     if d2.n == 0:
         return None
     order = sorted(range(d1.n), key=lambda v: (-sum(d1.degrees(v)), v))
-    position = {v: i for i, v in enumerate(order)}
     domains = [list(range(d2.n)) for _ in range(d1.n)]
     mapping = [None] * d1.n
     work = 0
 
-    out1 = [d1.out_neighbours(v) for v in range(d1.n)]
-    in1 = [d1.in_neighbours(v) for v in range(d1.n)]
+    out1, in1, nbr1 = (list(map(_bits, masks)) for masks in d1._adj)
+    out2 = d2._adj[0]
 
     def consistent(v, w):
         for x in out1[v]:
-            if mapping[x] is not None and (w, mapping[x]) not in d2.arcs:
+            if mapping[x] is not None and not out2[w] >> mapping[x] & 1:
                 return False
         for x in in1[v]:
-            if mapping[x] is not None and (mapping[x], w) not in d2.arcs:
+            if mapping[x] is not None and not out2[mapping[x]] >> w & 1:
                 return False
         return True
 
     def prune(v):
         """Shrink domains of later unassigned vertices against mapping[v]."""
         removed = []
-        for x in out1[v] | in1[v]:
-            if mapping[x] is not None or position[x] < position[v]:
+        for x in nbr1[v]:
+            if mapping[x] is not None:
                 continue
             keep = [w for w in domains[x] if consistent(x, w)]
             if len(keep) != len(domains[x]):
@@ -90,12 +89,14 @@ def hom_exists(d1: Digraph, d2: Digraph,
         for x, dom in removed:
             domains[x] = dom
 
-    def assign(i):
-        nonlocal work
-        if i == d1.n:
-            return True
-        v = order[i]
-        for w in domains[v]:
+    # an explicit stack, so long sources fit: one frame per vertex in order,
+    # holding its domain values not yet tried and the pruning of its value
+    frames = [[iter(domains[order[0]]), ()]]
+    while frames:
+        frame = frames[-1]
+        v = order[len(frames) - 1]
+        restore(frame[1])
+        for w in frame[0]:
             work += 1
             if work > budget:
                 raise WorkBudgetExceeded(f"hom search exceeded {budget} nodes")
@@ -103,14 +104,17 @@ def hom_exists(d1: Digraph, d2: Digraph,
                 continue
             mapping[v] = w
             removed, wiped = prune(v)
-            if not wiped and assign(i + 1):
-                return True
+            if not wiped:
+                frame[1] = removed
+                break
             restore(removed)
+        else:
             mapping[v] = None
-        return False
-
-    if assign(0):
-        return HomWitness(tuple(mapping))
+            frames.pop()
+            continue
+        if len(frames) == d1.n:
+            return HomWitness(tuple(mapping))
+        frames.append([iter(domains[order[len(frames)]]), ()])
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -32,6 +32,28 @@ def _check_vertex(v, n):
         raise ValueError(f"vertex {v} out of range [0, {n})")
 
 
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _closure(adj, mask):
+    """mask together with every vertex reachable from it along adj's masks."""
+    frontier = mask
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= adj[v]
+        frontier = reach & ~mask
+        mask |= frontier
+    return mask
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: no loops, no parallel edges."""
@@ -48,14 +70,23 @@ class Graph:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
 
+    @cached_property
+    def _nbr(self):
+        """Per-vertex neighbour bitmasks, built once."""
+        nbr = [0] * self.n
+        for u, v in self.edges:
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+        return tuple(nbr)
+
     def has_edge(self, u, v):
         return (min(u, v), max(u, v)) in self.edges
 
     def neighbours(self, v):
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
+        return set(_bits(self._nbr[v]))
 
     def degree(self, v):
-        return len(self.neighbours(v))
+        return self._nbr[v].bit_count()
 
     def sorted_edges(self):
         return sorted(self.edges)
@@ -76,18 +107,29 @@ class Digraph:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
 
+    @cached_property
+    def _adj(self):
+        """Per-vertex (out, in, neighbour) bitmasks, built once."""
+        out = [0] * self.n
+        inn = [0] * self.n
+        for u, v in self.arcs:
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+        return tuple(out), tuple(inn), tuple(o | i for o, i in zip(out, inn))
+
     def has_arc(self, u, v):
         return (u, v) in self.arcs
 
     def out_neighbours(self, v):
-        return {b for a, b in self.arcs if a == v}
+        return set(_bits(self._adj[0][v]))
 
     def in_neighbours(self, v):
-        return {a for a, b in self.arcs if b == v}
+        return set(_bits(self._adj[1][v]))
 
     def degrees(self, v):
         """(in-degree, out-degree) of v."""
-        return (len(self.in_neighbours(v)), len(self.out_neighbours(v)))
+        out, inn, _ = self._adj
+        return (inn[v].bit_count(), out[v].bit_count())
 
     def sorted_arcs(self):
         return sorted(self.arcs)
@@ -220,30 +262,14 @@ def graph_union(*gs):
 
 def connected_components(d):
     """Weakly connected components, as sorted vertex lists (works for Graph too)."""
-    if isinstance(d, Digraph):
-        pairs = d.arcs
-    else:
-        pairs = d.edges
-    adj = {v: set() for v in range(d.n)}
-    for u, v in pairs:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = set()
+    nbr = d._adj[2] if isinstance(d, Digraph) else d._nbr
+    seen = 0
     comps = []
     for start in range(d.n):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
+        if not seen >> start & 1:
+            comp = _closure(nbr, 1 << start)
+            seen |= comp
+            comps.append(_bits(comp))
     return comps
 
 
@@ -269,6 +295,59 @@ def induced_subgraph(g: Graph, vertices):
 # containment, orientation enumeration, acyclicity, girth
 
 
+def _pattern(h: Digraph, nbr):
+    """h prepared for _embed into a host with neighbour masks nbr.
+
+    Returns (order, rel, allowed): h's vertices by decreasing in+out
+    degree; rel[x][y], the relation from x to y (0 no arc, 1 x -> y only,
+    2 y -> x only, 3 a digon); and per vertex of h, the host vertices of
+    at least its underlying degree.
+    """
+    out, inn, hnbr = h._adj
+    order = sorted(range(h.n), key=lambda v: (-out[v].bit_count() - inn[v].bit_count(), v))
+    rel = [[(out[x] >> y & 1) | (inn[x] >> y & 1) << 1 for y in range(h.n)]
+           for x in range(h.n)]
+    by_degree = {}
+    for a, m in enumerate(nbr):
+        by_degree[m.bit_count()] = by_degree.get(m.bit_count(), 0) | 1 << a
+    return order, rel, [sum(s for k, s in by_degree.items() if k >= m.bit_count())
+                        for m in hnbr]
+
+
+def _non_adjacent(nbr):
+    """Per vertex, the other vertices not adjacent to it."""
+    full = (1 << len(nbr)) - 1
+    return [full & ~m & ~(1 << b) for b, m in enumerate(nbr)]
+
+
+def _embed(host, order, rel, allowed):
+    """First induced embedding placing the vertices in order, or None.
+
+    host[r][b] holds the host vertices standing to b in relation r, as
+    rel numbers them; an edge whose direction is not yet decided stands
+    in none.  order[i] goes to the smallest vertex in allowed[order[i]]
+    that stands to every image already placed as the pattern asks, and
+    a dead end backtracks.  Returns the map as a dict in placement order.
+    """
+    images, cands = [], []      # per placed vertex: its image, candidates left
+    while len(images) < len(order):
+        x = order[len(images)]
+        m = allowed[x]
+        for y, b in zip(order, images):
+            m &= host[rel[x][y]][b]
+        images.append(None)
+        cands.append(m)
+        while not cands[-1]:
+            images.pop()
+            cands.pop()
+            if not cands:
+                return None
+        low = cands[-1] & -cands[-1]
+        cands[-1] ^= low
+        images[-1] = low.bit_length() - 1
+    return dict(zip(order, images))
+
+
 def contains_induced(h: Digraph, d: Digraph):
     """Injective vertex map embedding h as an *induced* subdigraph of d.
 
@@ -279,48 +358,15 @@ def contains_induced(h: Digraph, d: Digraph):
     """
     if h.n > d.n:
         return None
-    horder = sorted(range(h.n), key=lambda v: (-sum(h.degrees(v)), v))
-    hdeg = {v: h.degrees(v) for v in range(h.n)}
-    ddeg = {v: d.degrees(v) for v in range(d.n)}
-    assignment = {}
-    used = set()
-
-    def compatible(v, w):
-        if hdeg[v][0] > ddeg[w][0] or hdeg[v][1] > ddeg[w][1]:
-            return False
-        for v2, w2 in assignment.items():
-            if ((v, v2) in h.arcs) != ((w, w2) in d.arcs):
-                return False
-            if ((v2, v) in h.arcs) != ((w2, w) in d.arcs):
-                return False
-        return True
-
-    def extend(i):
-        if i == len(horder):
-            return True
-        v = horder[i]
-        for w in range(d.n):
-            if w in used:
-                continue
-            if compatible(v, w):
-                assignment[v] = w
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                del assignment[v]
-                used.remove(w)
-        return False
-
-    if extend(0):
-        return dict(assignment)
-    return None
+    out, inn, nbr = d._adj
+    host = (_non_adjacent(nbr), [i & ~o for o, i in zip(out, inn)],
+            [o & ~i for o, i in zip(out, inn)], [o & i for o, i in zip(out, inn)])
+    return _embed(host, *_pattern(h, nbr))
 
 
 def is_acyclic(d: Digraph) -> bool:
     """True iff d has no directed cycle (a digon counts as a 2-cycle)."""
-    indeg = {v: 0 for v in range(d.n)}
-    for _, v in d.arcs:
-        indeg[v] += 1
+    indeg = [m.bit_count() for m in d._adj[1]]
     queue = [v for v in range(d.n) if indeg[v] == 0]
     removed = 0
     while queue:

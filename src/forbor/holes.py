@@ -131,14 +131,25 @@ class CheckResult:
 def check_multiples_closure(spec: HoleClassSpec, k_max: int = 120) -> CheckResult:
     """Some threshold must make the cycle lengths closed under multiples.
 
-    Fails when violating pairs (k present, lk absent) persist above every
-    admissible threshold; the returned witnesses are valid for all of
-    them, led by the smallest violating pair.
+    A declared finite or odd tail passes: past the last sampled length
+    departing from it, the present lengths (all, or all even) are closed
+    under multiples.  Otherwise it fails when violating pairs (k present,
+    lk absent) persist above every admissible threshold; the witnesses
+    are valid for all of them, led by the smallest violating pair.
     """
-    if spec.tail_kind() == "cofinite":
+    tail = spec.tail_kind()
+    if tail == "cofinite":
         return CheckResult(True, note="not applicable: finitely many cycle lengths")
     k_max = min(k_max, spec.bound)
     cyc = cycles_in_class(spec, k_max)
+    if tail in ("finite", "odd_tail"):
+        departing = [k for k in range(4, k_max + 1)
+                     if (k in cyc) != (tail == "finite" or k % 2 == 0)]
+        m = max(departing + list(spec.members), default=3) + 1
+        return CheckResult(True, threshold=m,
+                           note="beyond the threshold the declared tail keeps "
+                                "every present length's multiples present "
+                                "(threshold is sample-derived)")
     m_cap = k_max // 3
     violations = sorted(
         (k, l * k) for k in cyc if k >= 4

@@ -3,11 +3,14 @@
 The decision procedure orients edges one at a time (most-constrained edge
 first) and tests, after each assignment, only pattern embeddings that are
 fully decided and pass through the fresh edge, so the 2^|E| tree stays
-heavily pruned.  Three containment semantics are supported: induced
-(forbid induced subdigraphs), hom (forbid homomorphic images, reduced to
-induced via the image closure) and overlap (forbid component-wise induced
-embeddings, images may overlap).  An acyclic flag additionally rejects
-every directed cycle, maintained incrementally.
+heavily pruned: the graphs module's induced-embedding kernel runs on the
+partial orientation with a pattern arc pinned to the fresh one.  The
+search keeps its own stack, clear of Python's recursion limit.  Three
+containment semantics are supported: induced (forbid induced
+subdigraphs), hom (forbid homomorphic images, reduced to induced via the
+image closure) and overlap (forbid component-wise induced embeddings,
+images may overlap).  An acyclic flag also rejects each directed cycle
+as it closes.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .graphs import (
-    Graph, OrientedGraph, Orientation, canonical_form, connected_components,
-    contains_induced, enumerate_graphs, induced_subdigraph, is_acyclic,
-    make_cycle,
+    Graph, OrientedGraph, Orientation, _closure, _embed, _non_adjacent, _pattern,
+    canonical_form, connected_components, contains_induced, enumerate_graphs,
+    induced_subdigraph, is_acyclic, make_cycle,
 )
 from .words import enumerate_periods, forbidden_factor_set
 
@@ -142,10 +145,7 @@ def overlap_contains(h: OrientedGraph, d: OrientedGraph) -> bool:
     full induced containment for disconnected h and identical for
     connected h.
     """
-    for comp in connected_components(h):
-        if contains_induced(induced_subdigraph(h, comp), d) is None:
-            return False
-    return True
+    return all(contains_induced(c, d) is not None for c in _components_of(h))
 
 
 # ---------------------------------------------------------------------------
@@ -156,61 +156,17 @@ def _components_of(h: OrientedGraph):
     return tuple(induced_subdigraph(h, c) for c in connected_components(h))
 
 
-class _Embedder:
-    """Fully-decided induced embeddings of one pattern into a partial orientation."""
-
-    def __init__(self, h: OrientedGraph, g: Graph):
-        self.h = h
-        self.g = g
-        self.order = sorted(range(h.n), key=lambda v: (-sum(h.degrees(v)), v))
-        self.hdeg = [sum(h.degrees(v)) for v in range(h.n)]
-        self.gdeg = [g.degree(v) for v in range(g.n)]
-        self.gadj = [g.neighbours(v) for v in range(g.n)]
-
-    def _pair_ok(self, x, a, y, b, arcdir):
-        """h-vertices x, y on g-vertices a, b: pattern must match and be decided."""
-        if (x, y) in self.h.arcs:
-            return arcdir.get((min(a, b), max(a, b))) == (a, b)
-        if (y, x) in self.h.arcs:
-            return arcdir.get((min(a, b), max(a, b))) == (b, a)
-        return b not in self.gadj[a]
-
-    def exists(self, arcdir, pins=None):
-        """Is there a fully-decided embedding (image containing pins, if given)?"""
-        h, g = self.h, self.g
-        if h.n > g.n:
-            return False
-        if pins is not None:
-            u, v = pins
-            for x in range(h.n):
-                for y in range(h.n):
-                    if x == y:
-                        continue
-                    if self.hdeg[x] > self.gdeg[u] or self.hdeg[y] > self.gdeg[v]:
-                        continue
-                    if not self._pair_ok(x, u, y, v, arcdir):
-                        continue
-                    if self._extend({x: u, y: v}, {u, v}, arcdir):
-                        return True
-            return False
-        return self._extend({}, set(), arcdir)
-
-    def _extend(self, assignment, used, arcdir):
-        if len(assignment) == self.h.n:
-            return True
-        x = next(v for v in self.order if v not in assignment)
-        for a in range(self.g.n):
-            if a in used or self.hdeg[x] > self.gdeg[a]:
-                continue
-            if all(self._pair_ok(x, a, y, b, arcdir)
-                   for y, b in assignment.items()):
-                assignment[x] = a
-                used.add(a)
-                if self._extend(assignment, used, arcdir):
-                    return True
-                del assignment[x]
-                used.remove(a)
-        return False
+def _embeds_through(h: OrientedGraph, pattern, host, u, v):
+    """Does h embed, fully decided, with one of its arcs on the fresh arc u -> v?"""
+    order, rel, allowed = pattern
+    for x, y in h.arcs:
+        if allowed[x] >> u & 1 and allowed[y] >> v & 1:
+            pinned = list(allowed)
+            pinned[x], pinned[y] = 1 << u, 1 << v
+            rest = [z for z in order if z != x and z != y]
+            if _embed(host, [x, y] + rest, rel, pinned) is not None:
+                return True
+    return False
 
 
 def verify_orientation(o: Orientation, F: ForbiddenSet, mode: SearchMode) -> bool:
@@ -239,104 +195,86 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
         members = F.members
     overlap = mode.containment == "overlap"
     patterns = [_components_of(h) if overlap else (h,) for h in members]
-    embedders = [[_Embedder(c, g) for c in comps] for comps in patterns]
+    prepared = [[_pattern(c, g._nbr) for c in comps] for comps in patterns]
 
     edges = g.sorted_edges()
     arcdir = {}
-    out_adj = {v: set() for v in range(g.n)}
+    # decided arcs as per-vertex masks; the host, in the kernel's relation
+    # order, shares the in and out lists, so it sees the partial orientation
+    out = [0] * g.n
+    inn = [0] * g.n
+    host = (_non_adjacent(g._nbr), inn, out)
     work = 0
 
     # components with no arcs embed without any decided edge; their truth
     # never changes, and a pattern made entirely of them fails immediately
-    base_flags = []
-    for comps, embs in zip(patterns, embedders):
-        flags = []
-        for c, emb in zip(comps, embs):
-            flags.append(not c.arcs and emb.exists({}))
+    flag_state = []
+    for comps, preps in zip(patterns, prepared):
+        flags = [not c.arcs and _embed(host, *p) is not None
+                 for c, p in zip(comps, preps)]
         if all(flags):
             return OrientationVerdict(False, None, work)
-        base_flags.append(flags)
-
-    if overlap:
-        flag_state = [list(f) for f in base_flags]
-
-    def creates_cycle(u, v):
-        # adding u -> v closes a directed cycle iff v already reaches u
-        stack = [v]
-        seen = {v}
-        while stack:
-            w = stack.pop()
-            if w == u:
-                return True
-            for t in out_adj[w]:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return False
+        flag_state.append(flags)
 
     def violated(u, v):
         if overlap:
             trail = []
-            for pi, (comps, embs) in enumerate(zip(patterns, embedders)):
-                for ci, emb in enumerate(embs):
-                    if not flag_state[pi][ci] and emb.exists(arcdir, (u, v)):
+            for pi, (comps, preps) in enumerate(zip(patterns, prepared)):
+                for ci, (c, p) in enumerate(zip(comps, preps)):
+                    if not flag_state[pi][ci] and _embeds_through(c, p, host, u, v):
                         flag_state[pi][ci] = True
                         trail.append((pi, ci))
                 if all(flag_state[pi]):
                     return True, trail
             return False, trail
-        for embs in embedders:
-            if embs[0].exists(arcdir, (u, v)):
-                return True, None
-        return False, None
-
-    def undo_flags(trail):
-        for pi, ci in trail:
-            flag_state[pi][ci] = False
+        return any(_embeds_through(comps[0], preps[0], host, u, v)
+                   for comps, preps in zip(patterns, prepared)), ()
 
     def choose_edge():
-        inc = {v: 0 for v in range(g.n)}
-        for (a, b) in arcdir:
-            inc[a] += 1
-            inc[b] += 1
-        best = None
-        for e in edges:
-            if e in arcdir:
-                continue
-            score = inc[e[0]] + inc[e[1]]
-            if best is None or (-score, e) < best[0]:
-                best = ((-score, e), e)
-        return best[1] if best else None
+        # the undecided edge with the most decided edges at its ends
+        best, best_score = None, -1
+        for a, b in edges:
+            if (a, b) not in arcdir:
+                score = (out[a] | inn[a]).bit_count() + (out[b] | inn[b]).bit_count()
+                if score > best_score:
+                    best, best_score = (a, b), score
+        return best
 
-    def search():
-        nonlocal work
-        e = choose_edge()
+    def toggle(u, v):
+        out[u] ^= 1 << v
+        inn[v] ^= 1 << u
+
+    # depth first over edge directions, one frame per edge: the edge (None
+    # once all are decided), the directions tried and the flags the last set
+    stack = [[choose_edge(), 0, ()]]
+    while stack:
+        frame = stack[-1]
+        e, tried, trail = frame
         if e is None:
-            return True
-        for arc in (e, (e[1], e[0])):
-            work += 1
-            if work > budget:
-                raise WorkBudgetExceeded(
-                    f"orientation search exceeded {budget} nodes")
-            u, v = arc
-            if mode.acyclic and creates_cycle(u, v):
-                continue
-            arcdir[e] = arc
-            out_adj[u].add(v)
-            bad, trail = violated(u, v)
-            if not bad and search():
-                return True
-            if trail:
-                undo_flags(trail)
-            del arcdir[e]
-            out_adj[u].remove(v)
-        return False
-
-    if search():
-        witness = Orientation(g, frozenset(arcdir.values()))
-        if not verify_orientation(witness, F, mode):
-            raise AssertionError("witness failed independent re-verification")
-        return OrientationVerdict(True, witness, work)
+            witness = Orientation(g, frozenset(arcdir.values()))
+            if not verify_orientation(witness, F, mode):
+                raise AssertionError("witness failed independent re-verification")
+            return OrientationVerdict(True, witness, work)
+        if e in arcdir:
+            for pi, ci in trail:
+                flag_state[pi][ci] = False
+            toggle(*arcdir.pop(e))
+        if tried == 2:
+            stack.pop()
+            continue
+        arc = (e, (e[1], e[0]))[tried]
+        frame[1:] = tried + 1, ()
+        work += 1
+        if work > budget:
+            raise WorkBudgetExceeded(f"orientation search exceeded {budget} nodes")
+        # u -> v closes a directed cycle iff v already reaches u
+        if mode.acyclic and _closure(out, 1 << arc[1]) >> arc[0] & 1:
+            continue
+        arcdir[e] = arc
+        toggle(*arc)
+        bad, frame[2] = violated(*arc)
+        if not bad:
+            stack.append([choose_edge(), 0, ()])
     return OrientationVerdict(False, None, work)
 
 

@@ -49,20 +49,14 @@ def path_to_word(p: OrientedGraph) -> frozenset:
     vertex gives {""}; palindromic-up-to-reversal paths give one word,
     all others two.
     """
-    deg = {v: 0 for v in range(p.n)}
-    for u, v in p.arcs:
-        deg[u] += 1
-        deg[v] += 1
+    deg = [sum(p.degrees(v)) for v in range(p.n)]
     if len(p.arcs) != p.n - 1 or len(connected_components(p)) != 1 \
-            or any(d > 2 for d in deg.values()):
+            or any(d > 2 for d in deg):
         raise ValueError("not an orientation of a path")
     if p.n == 1:
         return frozenset({""})
-    ends = [v for v, d in deg.items() if d == 1]
-    nbr = {v: set() for v in range(p.n)}
-    for u, v in p.arcs:
-        nbr[u].add(v)
-        nbr[v].add(u)
+    ends = [v for v, d in enumerate(deg) if d == 1]
+    nbr = [p.out_neighbours(v) | p.in_neighbours(v) for v in range(p.n)]
     words = set()
     for start in ends:
         seq = [start]

@@ -53,6 +53,17 @@ def iso_oracle(d1, d2) -> bool:
         for p in permutations(range(d1.n)))
 
 
+def induced_embeddings_oracle(h, d):
+    """Every induced embedding of h in d, by raw injective-map search."""
+    out = []
+    for image in permutations(range(d.n), h.n):
+        mapped = {(image[u], image[v]) for u, v in h.arcs}
+        inside = {(u, v) for u, v in d.arcs if u in image and v in image}
+        if mapped == inside:
+            out.append(dict(enumerate(image)))
+    return out
+
+
 def graph_iso_oracle(g1, g2) -> bool:
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False

@@ -38,6 +38,13 @@ def test_hom_witnesses_compose():
     assert composed.verify(arc(), tt3())
 
 
+def test_hom_exists_on_long_source():
+    # deeper than Python's recursion limit: the search keeps its own stack
+    src, dst = directed_path(1500), directed_cycle(3)
+    w = hom_exists(src, dst)
+    assert w is not None and w.verify(src, dst)
+
+
 def test_hom_budget():
     big1 = transitive_tournament(6)
     big2 = transitive_tournament(5)

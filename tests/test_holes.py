@@ -152,6 +152,17 @@ def test_sample_matches_closed_form():
     assert cyc2 == expect
 
 
+def test_declared_candidates_pass_at_small_sample_bounds():
+    # a sample too short to outgrow early violations must not overrule the
+    # declared tail
+    for spec, k_max in ((HoleClassSpec.odd_tail(29, exceptions=[9]), 69),
+                        (HoleClassSpec.finite([8]), 12)):
+        for k in range(4, k_max + 1):
+            rep = trichotomy_verdict(spec, k_max=k)
+            assert rep.overall == ("NecessaryConditionsPass",)
+            assert all(c.passed for c in rep.checks.values())
+
+
 def test_custom_spec_needs_declared_tail():
     with pytest.raises(ValueError):
         HoleClassSpec("custom", membership=is_prime, bound=200, tail="").tail_kind()

@@ -135,6 +135,16 @@ def test_cli_translate_both_ways(tmp_path):
     assert json.loads(out)["result"]["words"] == ["<<", ">>"]
 
 
+def test_cli_translate_word_too_long_for_a_file_name():
+    w = "><" * 150
+    status, out = run(["translate", w])
+    assert status == 0
+    path = json.loads(out)["result"]["path"]
+    assert path["n"] == 301
+    assert path["arcs"] == sorted([i, i + 1] if c == ">" else [i + 1, i]
+                                  for i, c in enumerate(w))
+
+
 def test_cli_lang(tmp_path):
     f = tmp_path / "A.txt"
     f.write_text(">>\n<<\n")

@@ -35,6 +35,16 @@ def test_forbidden_set_normalizes():
         SearchMode("weird")
 
 
+
+def test_long_path_is_oriented_without_recursion():
+    # 2000 edges, far deeper than Python's recursion limit; the directions
+    # must alternate, so every other edge needs its second try
+    g = make_path(2000)
+    F = ForbiddenSet((p3(),))
+    v = admits_orientation(g, F, IND)
+    assert v.admits and verify_orientation(v.witness, F, IND)
+    assert v.work == 3000
+
 def test_homomorphic_image_closure_of_directed_path3():
     cl = homomorphic_image_closure(ForbiddenSet((p3(),)))
     assert len(cl.members) == 3
