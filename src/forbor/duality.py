@@ -11,6 +11,7 @@ re-verified certificates.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -241,7 +242,7 @@ def verify_generalized_duality(F, M, n_max: int = 4,
                     _scan_chunk, [(forb, targets, c) for c in chunks]) if r]
             if results:
                 hit = min(results)
-        except (OSError, PermissionError):
+        except (OSError, BrokenProcessPool):
             jobs = 1  # environments without process spawning fall back
     if jobs <= 1:
         for i, D in enumerate(universe):

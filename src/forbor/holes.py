@@ -128,6 +128,19 @@ class CheckResult:
     note: str = ""
 
 
+def _tail_threshold(spec: HoleClassSpec, cyc, k_max: int) -> int:
+    """One past the last length departing from a declared finite or odd tail.
+
+    A length departs when it is a declared member, or when its sampled
+    presence differs from the tail's (finite: every length present; odd
+    tail: exactly the even lengths present).
+    """
+    finite = spec.tail_kind() == "finite"
+    departing = [k for k in range(4, k_max + 1)
+                 if (k in cyc) != (finite or k % 2 == 0)]
+    return max(departing + list(spec.members), default=3) + 1
+
+
 def check_multiples_closure(spec: HoleClassSpec, k_max: int = 120) -> CheckResult:
     """Some threshold must make the cycle lengths closed under multiples.
 
@@ -143,10 +156,7 @@ def check_multiples_closure(spec: HoleClassSpec, k_max: int = 120) -> CheckResul
     k_max = min(k_max, spec.bound)
     cyc = cycles_in_class(spec, k_max)
     if tail in ("finite", "odd_tail"):
-        departing = [k for k in range(4, k_max + 1)
-                     if (k in cyc) != (tail == "finite" or k % 2 == 0)]
-        m = max(departing + list(spec.members), default=3) + 1
-        return CheckResult(True, threshold=m,
+        return CheckResult(True, threshold=_tail_threshold(spec, cyc, k_max),
                            note="beyond the threshold the declared tail keeps "
                                 "every present length's multiples present "
                                 "(threshold is sample-derived)")
@@ -200,14 +210,13 @@ def check_coupling_cofiniteness(spec: HoleClassSpec, k_max: int = 120) -> CheckR
     k_max = min(k_max, spec.bound)
     cyc = cycles_in_class(spec, k_max)
     if tail == "finite":
-        m = max(spec.members, default=3) + 1
-        return CheckResult(True, threshold=m, gcd_r=1,
+        return CheckResult(True, threshold=_tail_threshold(spec, cyc, k_max),
+                           gcd_r=1,
                            note="beyond the largest forbidden length every "
                                 "cycle is present (threshold is sample-derived)")
     if tail == "odd_tail":
-        odd_above = [k for k in cyc if k % 2 and k >= 4]
-        m = max(odd_above, default=3) + 1
-        return CheckResult(True, threshold=m, gcd_r=2,
+        return CheckResult(True, threshold=_tail_threshold(spec, cyc, k_max),
+                           gcd_r=2,
                            note="even lengths fill 2Z+ beyond the threshold "
                                 "(threshold is sample-derived)")
     # unstructured coinfinite tail: cofiniteness in rZ+ would force the

@@ -223,12 +223,24 @@ def is_transitive(A: FactorSet) -> bool:
     quantified definition reduces to finitely many reachability queries:
     for every state s and every state p, some state reachable from s must
     read p without dying.
+
+    Only the bottom SCCs (sink components) of the state graph matter: the
+    language is transitive iff every bottom SCC C reads every state p from
+    some t in C.  Necessary, because for s in C the states reachable from
+    s are exactly C.  Sufficient, because the states reachable from any s
+    contain a bottom SCC.
     """
     aut = automaton(A)
-    for s in aut.states:
-        reach = aut.reachable_from(s)
+
+    def succ(s):
+        return [t for c in aut.alphabet if (t := aut.step(s, c)) is not None]
+
+    for comp in _tarjan_sccs(aut.states, succ):
+        members = set(comp)
+        if any(t not in members for s in comp for t in succ(s)):
+            continue
         for p in aut.states:
-            if not any(aut.run(p, start=t) is not None for t in reach):
+            if not any(aut.run(p, start=t) is not None for t in comp):
                 return False
     return True
 
@@ -249,81 +261,43 @@ def is_periodic(w: str, A: FactorSet) -> bool:
 # ---------------------------------------------------------------------------
 # closed-walk reachability over the full-window states
 #
-# Boolean matrices are lists of row bitmasks over the full states; the
-# de Bruijn-like walk graph has an arc s -> t labelled c when reading c
-# from s survives.  A k-word with all powers A-free corresponds exactly
-# to a closed k-walk (the word's windows), nonconstant words to closed
-# walks using both letters.
+# The walk graph has an arc s -> t labelled c when reading c from the
+# full state s survives.  A k-word with all powers A-free corresponds
+# exactly to a closed k-walk (the word's windows), nonconstant words to
+# closed walks using both letters.  The automaton is deterministic, so
+# each letter is a successor map (index of the next full state, -1 where
+# the step dies) and a boolean k-walk matrix is a list of row bitmasks.
+# A step prepends one letter: row i of the (k+1)-walk matrix is the row
+# of i's successor in the k-walk matrix, O(n) row lookups per step.  Row
+# lists carry a trailing 0 so that index -1 (a dead step) reads no walk.
 
 
-def _letter_matrices(aut: FactorAutomaton):
+def _closed_walks(A: FactorSet, nonconstant: bool):
+    """For k = 1, 2, ...: is there a closed k-walk (using both letters if
+    nonconstant) over the full states?  An endless generator."""
+    aut = automaton(A)
     full = aut.full_states()
     index = {s: i for i, s in enumerate(full)}
-    mats = {}
-    for c in aut.alphabet:
-        rows = [0] * len(full)
-        for s in full:
-            t = aut.step(s, c)
-            if t is not None:
-                rows[index[s]] |= 1 << index[t]
-        mats[c] = rows
-    return full, mats
+    f, b = ([index.get(aut.step(s, c), -1) for s in full] for c in (FWD, BWD))
+    unit = [1 << i for i in range(len(full))] + [0]
 
+    def closed(rows):
+        return any(row >> i & 1 for i, row in enumerate(rows))
 
-def _mat_mul(A, B):
-    out = []
-    for row in A:
-        acc = 0
-        bits = row
-        while bits:
-            j = (bits & -bits).bit_length() - 1
-            acc |= B[j]
-            bits &= bits - 1
-        out.append(acc)
-    return out
-
-
-def _mat_or(A, B):
-    return [a | b for a, b in zip(A, B)]
-
-
-def _has_diag(M):
-    return any(M[i] >> i & 1 for i in range(len(M)))
-
-
-class _WalkCalculator:
-    """Incremental closed-walk existence for lengths 1..k."""
-
-    def __init__(self, A: FactorSet):
-        aut = automaton(A)
-        self.full, mats = _letter_matrices(aut)
-        self.fmat = mats[FWD]
-        self.bmat = mats[BWD]
-        self.amat = _mat_or(self.fmat, self.bmat)
-        self.k = 0
-        self.any_k = None    # walks of length k
-        self.fwd_k = None    # walks using only '>'
-        self.bwd_k = None    # walks using only '<'
-        self.both_k = None   # walks using both letters
-
-    def advance(self):
-        if self.k == 0:
-            self.any_k = self.amat
-            self.fwd_k = self.fmat
-            self.bwd_k = self.bmat
-            self.both_k = [0] * len(self.full)
-        else:
-            self.any_k = _mat_mul(self.any_k, self.amat)
-            self.both_k = _mat_or(
-                _mat_mul(self.both_k, self.amat),
-                _mat_or(_mat_mul(self.fwd_k, self.bmat),
-                        _mat_mul(self.bwd_k, self.fmat)))
-            self.fwd_k = _mat_mul(self.fwd_k, self.fmat)
-            self.bwd_k = _mat_mul(self.bwd_k, self.bmat)
-        self.k += 1
-
-    def closed(self, nonconstant: bool) -> bool:
-        return _has_diag(self.both_k if nonconstant else self.any_k)
+    if not nonconstant:
+        walks = unit
+        while True:
+            walks = [walks[x] | walks[y] for x, y in zip(f, b)] + [0]
+            yield closed(walks)
+    # fwd/bwd: walks using '>' / '<' only; both: walks using both letters
+    fwd = [unit[x] for x in f] + [0]
+    bwd = [unit[y] for y in b] + [0]
+    both = [0] * (len(full) + 1)
+    while True:
+        yield closed(both)
+        both = [both[x] | bwd[x] | both[y] | fwd[y] for x, y in zip(f, b)] + [0]
+        fwd = [fwd[x] for x in f] + [0]
+        bwd = [bwd[y] for y in b] + [0]
 
 
 def enumerate_periods(A: FactorSet, k_max: int, nonconstant_only: bool = False):
@@ -346,10 +320,8 @@ def enumerate_periods(A: FactorSet, k_max: int, nonconstant_only: bool = False):
             if is_periodic(w, A):
                 out.add(k)
                 break
-    walk = _WalkCalculator(A)
-    for k in range(1, k_max + 1):
-        walk.advance()
-        if k > low and walk.closed(nonconstant_only):
+    for k, closed in zip(range(1, k_max + 1), _closed_walks(A, nonconstant_only)):
+        if k > low and closed:
             out.add(k)
     return out
 

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library code paths they check:
 isomorphism is decided by raw permutation search, periodicity by explicit
-power expansion, induced cycles by subset enumeration.
+power expansion, transitivity by one reachability search per automaton
+state, induced cycles by subset enumeration.
 """
 
 from itertools import combinations, permutations, product
@@ -10,7 +11,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from forbor import (
-    Digraph, Graph, directed_cycle, directed_path,
+    Digraph, FactorAutomaton, Graph, directed_cycle, directed_path,
     induced_subgraph, is_A_free, transitive_tournament, word_to_path,
 )
 
@@ -111,6 +112,41 @@ def induced_cycle_lengths(g: Graph):
 def powers_all_free(w, A, n_max) -> bool:
     """Explicit power expansion: w**n is A-free for every n up to n_max."""
     return all(is_A_free(w * n, A) for n in range(1, n_max + 1))
+
+
+def transitive_oracle(A) -> bool:
+    """Transitivity with one reachability search per state: for every state
+    s, every state p must be readable from some state reachable from s."""
+    aut = FactorAutomaton(A)
+    for s in aut.states:
+        reach = aut.reachable_from(s)
+        for p in aut.states:
+            if not any(aut.run(p, start=t) is not None for t in reach):
+                return False
+    return True
+
+
+def _free_words(A, k, prefix=""):
+    """Every A-free k-word extending prefix, '>' before '<'."""
+    if len(prefix) == k:
+        yield prefix
+        return
+    for c in "><":
+        if is_A_free(prefix + c, A):
+            yield from _free_words(A, k, prefix + c)
+
+
+def periods_oracle(A, k_max, nonconstant=False):
+    """Period lengths up to k_max, by explicit power expansion of k-words.
+
+    Only A-free k-words are expanded (any other word is its own failing
+    first power).  Every factor of length <= m of the infinite power of a
+    word lies within m + 1 consecutive copies, m the longest member.
+    """
+    n_max = max(map(len, A.members), default=1) + 1
+    return {k for k in range(1, k_max + 1)
+            if any(powers_all_free(w, A, n_max) for w in _free_words(A, k)
+                   if not nonconstant or len(set(w)) == 2)}
 
 
 def random_word(rng, length):

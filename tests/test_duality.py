@@ -1,9 +1,11 @@
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from conftest import arc, c3, p3, tt3
 
 from forbor import (
-    Digraph, WorkBudgetExceeded, core_of, directed_cycle, directed_path,
+    Digraph, duality, WorkBudgetExceeded, core_of, directed_cycle, directed_path,
     disjoint_union, enumerate_digraphs, hom_exists, is_hom_equivalent,
     is_isomorphic, is_oriented_forest, is_oriented_tree, known_duality_catalog,
     minimal_elements, transitive_tournament, verify_duality_pair,
@@ -143,6 +145,25 @@ def test_generalized_duality_jobs_matches_sequential():
     par = verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=2)
     assert seq.holds == par.holds
     assert is_isomorphic(seq.counterexample, par.counterexample)
+
+
+def test_generalized_duality_falls_back_when_the_pool_breaks(monkeypatch):
+    class BrokenPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            raise BrokenProcessPool("a worker died")
+
+    seq = verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=1)
+    monkeypatch.setattr(duality, "ProcessPoolExecutor", BrokenPool)
+    assert verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=2) == seq
 
 
 def test_no_finite_target_for_transitive_triangle():

@@ -163,6 +163,16 @@ def test_declared_candidates_pass_at_small_sample_bounds():
             assert all(c.passed for c in rep.checks.values())
 
 
+def test_tail_thresholds_count_every_departing_length():
+    # 12 is absent although the odd tail keeps every even length present
+    spec = HoleClassSpec.odd_tail(15, exceptions=[5, 7, 9, 11, 13, 12])
+    assert check_coupling_cofiniteness(spec).threshold == 14
+    assert check_multiples_closure(spec).threshold == 14
+    # a custom finite tail takes its forbidden lengths from the sample
+    custom = HoleClassSpec.custom({10}.__contains__, tail="finite")
+    assert check_coupling_cofiniteness(custom).threshold == 11
+
+
 def test_custom_spec_needs_declared_tail():
     with pytest.raises(ValueError):
         HoleClassSpec("custom", membership=is_prime, bound=200, tail="").tail_kind()
