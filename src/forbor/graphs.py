@@ -3,8 +3,10 @@
 Vertices are always 0..n-1.  Everything here is a pure function over
 frozen values, so results can be cached and shared between threads.
 The module also provides the small-universe isomorphism machinery
-(canonical forms, exhaustive enumeration of isomorphism classes) that
-the rest of the package uses as its brute-force substrate.
+(canonical forms, and isomorphism classes enumerated by orderly
+generation, one orbit-minimum representative each) that the rest of the
+package uses as its brute-force substrate.  It needs only the standard
+library.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
-
-import numpy as np
 
 #: hard cap for exhaustive isomorphism-class enumeration
 ENUM_LIMIT = 5
@@ -514,50 +514,52 @@ def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
 # exhaustive universes
 
 
-def _orbit_minima(n, slots, perm_to_slot):
-    """Vector of min-over-orbit bitmasks for all 2^slots arc masks.
+def _orbit_minima(n, slots):
+    """Sorted masks over slots that no vertex permutation makes smaller.
 
-    perm_to_slot(perm, i) gives the slot index that slot i moves to under a
-    vertex permutation perm.
+    Bit i stands for the vertex pair slots[i]; a pair missing from slots
+    is looked up reversed, so graphs list each edge once.  Orderly
+    generation (Read, "Every one a winner", 1978) rests on one lemma: if m
+    is the least mask of its orbit, so is m with its lowest zero bit set
+    (Read's lemma, applied to the complement).  Every minimum but the full
+    mask thus has exactly one parent, and a descent from the full mask
+    that clears one set bit below the lowest zero bit, keeping only
+    minima, meets each minimum once.
     """
-    count = 1 << slots
-    dtype = np.uint32 if slots <= 31 else np.uint64
-    masks = np.arange(count, dtype=dtype)
-    canon = masks.copy()
-    for perm in permutations(range(n)):
-        if list(perm) == list(range(n)):
-            continue
-        moved = np.zeros(count, dtype=dtype)
-        for i in range(slots):
-            moved |= ((masks >> dtype(i)) & dtype(1)) << dtype(perm_to_slot(perm, i))
-        np.minimum(canon, moved, out=canon)
-    return masks, canon
+    index = {p: i for i, p in enumerate(slots)}
+    moves = [[1 << index.get((p[u], p[v]), index.get((p[v], p[u]))) for u, v in slots]
+             for p in permutations(range(n))]
+    full = (1 << len(slots)) - 1
+    found = [full]
+    stack = [full]
+    while stack:
+        parent = stack.pop()
+        for z in range((~parent & parent + 1).bit_length() - 1):
+            m = parent ^ 1 << z
+            bits = _bits(m)
+            if all(sum(map(move.__getitem__, bits)) >= m for move in moves):
+                found.append(m)
+                stack.append(m)
+    return sorted(found)
 
 
 @lru_cache(maxsize=None)
 def enumerate_digraphs(n: int, oriented_only: bool = False, limit: int = ENUM_LIMIT):
     """One canonical representative per isomorphism class of digraphs on n vertices.
 
-    Results come back as a tuple sorted by the canonical bitmask, so the
-    order is stable.  With oriented_only, classes containing a symmetric
-    arc pair are dropped.  Exhaustive over all 2^(n(n-1)) labelled digraphs.
+    The representative is the labelling whose arc bitmask is least in its
+    orbit (_orbit_minima), and results come back sorted by that mask, so
+    the order is stable.  With oriented_only, classes containing a
+    symmetric arc pair are dropped.
     """
     if n > limit:
         raise ValueError(f"enumeration bound exceeded: {n} > {limit}")
     if n < 1:
         raise ValueError("need at least one vertex")
     arc_slots = [(u, v) for u in range(n) for v in range(n) if u != v]
-    slot_index = {a: i for i, a in enumerate(arc_slots)}
-
-    def to_slot(perm, i):
-        u, v = arc_slots[i]
-        return slot_index[(perm[u], perm[v])]
-
-    masks, canon = _orbit_minima(n, len(arc_slots), to_slot)
-    reps = masks[canon == masks]
     out = []
-    for m in reps.tolist():
-        arcs = frozenset(arc_slots[i] for i in range(len(arc_slots)) if m >> i & 1)
+    for m in _orbit_minima(n, arc_slots):
+        arcs = frozenset(arc_slots[i] for i in _bits(m))
         if oriented_only:
             if any((v, u) in arcs for u, v in arcs):
                 continue
@@ -569,21 +571,14 @@ def enumerate_digraphs(n: int, oriented_only: bool = False, limit: int = ENUM_LI
 
 @lru_cache(maxsize=None)
 def enumerate_graphs(n: int, limit: int = 6):
-    """One representative per isomorphism class of simple graphs on n vertices."""
+    """One representative per isomorphism class of simple graphs on n vertices.
+
+    As for enumerate_digraphs: the edge bitmask least in its orbit, sorted.
+    """
     if n > limit:
         raise ValueError(f"enumeration bound exceeded: {n} > {limit}")
     if n < 1:
         raise ValueError("need at least one vertex")
     edge_slots = list(combinations(range(n), 2))
-    slot_index = {e: i for i, e in enumerate(edge_slots)}
-
-    def to_slot(perm, i):
-        u, v = edge_slots[i]
-        a, b = perm[u], perm[v]
-        return slot_index[(min(a, b), max(a, b))]
-
-    masks, canon = _orbit_minima(n, len(edge_slots), to_slot)
-    reps = masks[canon == masks]
-    return tuple(
-        Graph(n, frozenset(edge_slots[i] for i in range(len(edge_slots)) if m >> i & 1))
-        for m in reps.tolist())
+    return tuple(Graph(n, frozenset(edge_slots[i] for i in _bits(m)))
+                 for m in _orbit_minima(n, edge_slots))

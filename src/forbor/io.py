@@ -25,73 +25,52 @@ def _clean_lines(text):
         yield i, line
 
 
-def parse_graph(text: str) -> Graph:
+def _parse_block(lines, head, item, noun, oriented=False):
+    """(n, pairs) of one ``head <n>`` block of ``item <u> <v>`` lines."""
     n = None
-    edges = set()
-    for i, line in _clean_lines(text):
+    pairs = set()
+    for i, line in lines:
         if not line:
             continue
         tok = line.split()
-        if tok[0] == "graph":
+        if tok[0] == head:
             if n is not None:
-                raise FormatError(f"line {i}: duplicate graph header")
-            if len(tok) != 2 or not tok[1].isdigit():
-                raise FormatError(f"line {i}: expected 'graph <n>'")
+                raise FormatError(f"line {i}: duplicate {head} header")
+            if len(tok) != 2 or not tok[1].isdecimal():
+                raise FormatError(f"line {i}: expected '{head} <n>'")
             n = int(tok[1])
-        elif tok[0] == "e":
+        elif tok[0] == item:
             if n is None:
-                raise FormatError(f"line {i}: edge before 'graph <n>' header")
+                raise FormatError(f"line {i}: {noun} before '{head} <n>' header")
             if len(tok) != 3:
-                raise FormatError(f"line {i}: expected 'e <u> <v>'")
+                raise FormatError(f"line {i}: expected '{item} <u> <v>'")
             try:
-                edges.add((int(tok[1]), int(tok[2])))
+                u, v = int(tok[1]), int(tok[2])
             except ValueError:
                 raise FormatError(f"line {i}: vertices must be integers") from None
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise FormatError(f"line {i}: {noun} needs two distinct vertices in [0, {n})")
+            if oriented and (v, u) in pairs:
+                raise FormatError(f"line {i}: symmetric arc pair between {u} and {v}")
+            pairs.add((u, v))
         else:
             raise FormatError(f"line {i}: unknown directive {tok[0]!r}")
     if n is None:
-        raise FormatError("line 1: missing 'graph <n>' header")
-    try:
-        return Graph(n, frozenset(edges))
-    except ValueError as e:
-        raise FormatError(f"invalid graph: {e}") from None
+        raise FormatError(f"line 1: missing '{head} <n>' header")
+    return n, frozenset(pairs)
+
+
+def parse_graph(text: str) -> Graph:
+    return Graph(*_parse_block(_clean_lines(text), "graph", "e", "edge"))
 
 
 def _parse_digraph_block(lines, oriented):
-    n = None
-    arcs = set()
-    for i, line in lines:
-        tok = line.split()
-        if tok[0] == "digraph":
-            if n is not None:
-                raise FormatError(f"line {i}: duplicate digraph header")
-            if len(tok) != 2 or not tok[1].isdigit():
-                raise FormatError(f"line {i}: expected 'digraph <n>'")
-            n = int(tok[1])
-        elif tok[0] == "a":
-            if n is None:
-                raise FormatError(f"line {i}: arc before 'digraph <n>' header")
-            if len(tok) != 3:
-                raise FormatError(f"line {i}: expected 'a <u> <v>'")
-            try:
-                arcs.add((int(tok[1]), int(tok[2])))
-            except ValueError:
-                raise FormatError(f"line {i}: vertices must be integers") from None
-        else:
-            raise FormatError(f"line {i}: unknown directive {tok[0]!r}")
-    if n is None:
-        raise FormatError("missing 'digraph <n>' header")
-    try:
-        return OrientedGraph(n, frozenset(arcs)) if oriented else Digraph(n, frozenset(arcs))
-    except ValueError as e:
-        raise FormatError(f"invalid digraph: {e}") from None
+    n, arcs = _parse_block(lines, "digraph", "a", "arc", oriented)
+    return OrientedGraph(n, arcs) if oriented else Digraph(n, arcs)
 
 
 def parse_digraph(text: str, oriented: bool = False) -> Digraph:
-    lines = [(i, l) for i, l in _clean_lines(text) if l]
-    if not lines:
-        raise FormatError("line 1: empty digraph file")
-    return _parse_digraph_block(lines, oriented)
+    return _parse_digraph_block(_clean_lines(text), oriented)
 
 
 def parse_digraph_blocks(text: str, oriented: bool = False):
@@ -150,25 +129,37 @@ def parse_hole_spec(text: str) -> HoleClassSpec:
         except ValueError:
             raise FormatError(f"line {i}: {key} must be comma-separated integers") from None
 
+    def integer(key):
+        i, value = fields[key]
+        try:
+            return int(value)
+        except ValueError:
+            raise FormatError(f"line {i}: {key} must be an integer") from None
+
     if "variant" not in fields:
         raise FormatError("line 1: missing variant=")
-    variant = fields["variant"][1]
+    at, variant = fields["variant"]
     if variant == "finite":
-        return HoleClassSpec.finite(ints("members"))
-    if variant == "cofinite_complement":
-        return HoleClassSpec.cofinite_complement(ints("members"))
-    if variant == "odd_tail":
+        make, args = HoleClassSpec.finite, (ints("members"),)
+    elif variant == "cofinite_complement":
+        make, args = HoleClassSpec.cofinite_complement, (ints("members"),)
+    elif variant == "odd_tail":
         if "M" not in fields:
-            raise FormatError("odd_tail needs M=<threshold>")
-        return HoleClassSpec.odd_tail(int(fields["M"][1]), ints("exceptions"))
-    if variant == "custom":
+            raise FormatError(f"line {at}: odd_tail needs M=<threshold>")
+        make, args = HoleClassSpec.odd_tail, (integer("M"), ints("exceptions"))
+    elif variant == "custom":
         if "tail" not in fields:
-            raise FormatError("custom needs tail=")
+            raise FormatError(f"line {at}: custom needs tail=")
         tail = {"coinfinite": "other"}.get(fields["tail"][1], fields["tail"][1])
         members = frozenset(ints("members"))
-        bound = int(fields["bound"][1]) if "bound" in fields else 200
-        return HoleClassSpec.custom(members.__contains__, tail, bound)
-    raise FormatError(f"unknown variant {variant!r}")
+        bound = integer("bound") if "bound" in fields else 200
+        make, args = HoleClassSpec.custom, (members.__contains__, tail, bound)
+    else:
+        raise FormatError(f"line {at}: unknown variant {variant!r}")
+    try:
+        return make(*args)
+    except ValueError as e:
+        raise FormatError(f"line {at}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

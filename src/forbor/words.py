@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
 
 from .graphs import OrientedGraph, connected_components
 
@@ -303,27 +302,15 @@ def _closed_walks(A: FactorSet, nonconstant: bool):
 def enumerate_periods(A: FactorSet, k_max: int, nonconstant_only: bool = False):
     """Lengths k <= k_max admitting a (nonconstant) k-word with all powers A-free.
 
-    Short lengths (below the automaton window) are checked by direct word
-    enumeration; from the window upward a closed-walk reachability pass
-    over the full-window states decides each length.
+    The closed-walk pass decides every length.  If u^inf is A-free, the
+    window-length suffix of a long enough power of u is a full state that
+    reads u back to itself; conversely, a closed walk spelling u from a
+    full state s reads s.u^inf without dying, so u^inf is A-free.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    aut = automaton(A)
-    out = set()
-    low = min(k_max, max(aut.window - 1, 0))
-    for k in range(1, low + 1):
-        for letters in product(A.alphabet, repeat=k):
-            w = "".join(letters)
-            if nonconstant_only and len(set(w)) < 2:
-                continue
-            if is_periodic(w, A):
-                out.add(k)
-                break
-    for k, closed in zip(range(1, k_max + 1), _closed_walks(A, nonconstant_only)):
-        if k > low and closed:
-            out.add(k)
-    return out
+    walks = zip(range(1, k_max + 1), _closed_walks(A, nonconstant_only))
+    return {k for k, closed in walks if closed}
 
 
 def periodic_word(A: FactorSet, k: int, nonconstant: bool = False):

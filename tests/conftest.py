@@ -79,6 +79,19 @@ def all_labelled_digraphs(n):
         yield Digraph(n, frozenset(s for s, b in zip(slots, bits) if b))
 
 
+def orbit_minima_oracle(n, slots):
+    """Masks over slots (bit i stands for the vertex pair slots[i]) that no
+    vertex permutation makes smaller, ascending, by raw permutation search
+    over every labelled mask.  A pair missing from slots is looked up
+    reversed, so undirected slots list each edge once."""
+    index = {s: i for i, s in enumerate(slots)}
+    moves = [[index.get((p[u], p[v]), index.get((p[v], p[u]))) for u, v in slots]
+             for p in permutations(range(n))]
+    return [m for m in range(1 << len(slots))
+            if all(sum(1 << move[i] for i in range(len(slots)) if m >> i & 1) >= m
+                   for move in moves)]
+
+
 def max_independent_set(g: Graph) -> int:
     best = 0
     for r in range(g.n, 0, -1):

@@ -1,9 +1,15 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
+import forbor
 from conftest import all_labelled_digraphs, iso_oracle, max_independent_set, induced_cycle_lengths
+from conftest import orbit_minima_oracle
 from conftest import arc, b1, c3, p3, tt3
 
 from forbor import (
@@ -178,6 +184,52 @@ def test_enumerate_digraphs_pairwise_noniso_and_orbit_sizes():
 
 def test_enumerate_graphs_counts():
     assert [len(enumerate_graphs(n)) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+
+
+def _mask(slots, pairs):
+    return sum(1 << slots.index(p) for p in pairs)
+
+
+def test_universes_are_orbit_minima_in_mask_order():
+    for n in range(1, 5):
+        slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+        minima = orbit_minima_oracle(n, slots)
+        assert [_mask(slots, d.arcs) for d in enumerate_digraphs(n)] == minima
+        oriented = [m for m in minima
+                    if not any(m >> slots.index((v, u)) & 1
+                               for i, (u, v) in enumerate(slots) if m >> i & 1)]
+        assert [_mask(slots, d.arcs)
+                for d in enumerate_digraphs(n, oriented_only=True)] == oriented
+    for n in range(1, 6):
+        slots = list(combinations(range(n), 2))
+        assert [_mask(slots, g.edges) for g in enumerate_graphs(n)] == \
+            orbit_minima_oracle(n, slots)
+
+
+#: sha256 of every universe member in order (graphs on 1..6 vertices, then
+#: digraphs on 1..5 vertices, then oriented graphs on 1..5 vertices), pinned
+#: from the earlier enumeration that scanned every labelled mask
+UNIVERSE_SHA256 = "89dff057ec33a3614c1ed009b1da732d68fc7c5ed05c6a13def234c8cc8eef89"
+
+
+def test_universe_sequence_is_pinned():
+    rows = [repr(("Graph", g.n, g.sorted_edges()))
+            for n in range(1, 7) for g in enumerate_graphs(n)]
+    rows += [repr((type(d).__name__, d.n, d.sorted_arcs()))
+             for oriented in (False, True) for n in range(1, 6)
+             for d in enumerate_digraphs(n, oriented_only=oriented)]
+    assert len(rows) == 10688
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == UNIVERSE_SHA256
+
+
+def test_universes_build_without_numpy():
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import forbor\n"
+            "assert len(forbor.enumerate_digraphs(4)) == 218\n"
+            "assert len(forbor.enumerate_graphs(5)) == 34\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(forbor.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_canonical_form_is_class_invariant():

@@ -71,6 +71,34 @@ def test_parse_errors_carry_line_numbers():
         parse_hole_spec("variant=banana\n")
 
 
+@pytest.mark.parametrize("command, text, line", [
+    (["holes", "analyze", "-spec"], "variant=odd_tail M=abc\n", 1),
+    (["holes", "analyze", "-spec"], "variant=custom tail=finite\nbound=x\n", 2),
+    (["orient", "--mode", "induced", "-F", "FORB", "-g"], "# superscript three\ngraph \u00b3\n", 2),
+    (["core"], "digraph \u00b3\na 0 1\n", 1),
+], ids=["odd_tail_M", "custom_bound", "graph_header", "digraph_header"])
+def test_cli_parse_errors_carry_line_numbers(tmp_path, command, text, line):
+    forb = tmp_path / "p3.forb"
+    forb.write_text("digraph 3\na 0 1\na 1 2\n")
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    argv = [str(forb) if a == "FORB" else a for a in command] + [str(f)]
+    status, out = run(argv)
+    assert status == 1 and out.startswith(f"error: line {line}: ")
+
+
+def test_parse_errors_name_the_offending_line():
+    with pytest.raises(FormatError, match="line 3: edge needs two distinct"):
+        parse_graph("graph 3\ne 0 1\ne 1 1\n")
+    with pytest.raises(FormatError, match="line 2: edge needs two distinct"):
+        parse_graph("graph 3\ne 0 3\n")
+    with pytest.raises(FormatError, match="line 6: symmetric arc pair"):
+        parse_digraph_blocks("digraph 2\na 0 1\n\ndigraph 2\na 0 1\na 1 0\n", oriented=True)
+    assert len(parse_digraph("digraph 2\na 0 1\na 1 0\n").arcs) == 2
+    with pytest.raises(FormatError, match="line 2: odd-tail exceptions"):
+        parse_hole_spec("# exceptions past M\nvariant=odd_tail M=7 exceptions=9\n")
+
+
 def test_parse_factor_set():
     A = parse_factor_set("# comment\n>>\n<<\n")
     assert A.members == {">>", "<<"}
