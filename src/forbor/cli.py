@@ -13,15 +13,16 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+import warnings
+from functools import cache
 from pathlib import Path
 
 from . import __version__
 from .duality import core_of, hom_exists, verify_generalized_duality
 from .holes import trichotomy_verdict
 from .io import (
-    FormatError, digraph_to_json, digraph_to_text, parse_digraph,
-    parse_digraph_blocks, parse_factor_set, parse_graph, parse_hole_spec,
+    digraph_to_json, digraph_to_text, parse_digraph, parse_digraph_blocks,
+    parse_factor_set, parse_graph, parse_hole_spec,
 )
 from .search import (
     DEFAULT_BUDGET, ForbiddenSet, SearchMode, WorkBudgetExceeded,
@@ -35,32 +36,6 @@ from .words import (
 
 class CliError(RuntimeError):
     """Usage-level failure: bad arguments, unreadable or malformed files."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: subcommand, inputs and all knobs."""
-
-    subcommand: str
-    inputs: tuple = ()
-    word: str = ""
-    query: str = ""
-    k_min: int = 0
-    k_max: int = 0
-    mode: SearchMode = SearchMode()
-    nonconstant: bool = False
-    n_max: int = 4
-    budget: int = DEFAULT_BUDGET
-    jobs: int = 1
-    out_format: str = "json"
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise CliError("the work budget must be positive")
-        if self.jobs < 1:
-            raise CliError("jobs must be at least 1")
-        if self.k_min > self.k_max:
-            raise CliError("empty range")
 
 
 def _read(path: str) -> str:
@@ -90,29 +65,29 @@ def _parse_range(text: str):
 # subcommand handlers; each returns (result dict, text rendering lines)
 
 
-def _run_translate(cfg, texts):
-    if cfg.inputs:
+def _run_translate(args, texts):
+    if args.inputs:
         d = parse_digraph(texts[0], oriented=True)
         words = sorted(path_to_word(d))
         return {"words": words}, [f"word {w}" for w in words]
-    p = word_to_path(cfg.word)
-    return ({"word": cfg.word, "path": digraph_to_json(p)},
+    p = word_to_path(args.word)
+    return ({"word": args.word, "path": digraph_to_json(p)},
             digraph_to_text(p).splitlines())
 
 
-def _run_lang(cfg, texts):
+def _run_lang(args, texts):
     A = parse_factor_set(texts[0])
-    if cfg.query == "sync":
+    if args.query == "sync":
         m = sync_bound(A)
         return {"sync_bound": m}, [f"sync_bound {m}"]
-    if cfg.query == "transitive":
+    if args.query == "transitive":
         t = is_transitive(A)
         return {"transitive": t}, [f"transitive {t}"]
-    if cfg.query == "periods":
-        ks = sorted(enumerate_periods(A, cfg.k_max, cfg.nonconstant))
-        return ({"kmax": cfg.k_max, "nonconstant": cfg.nonconstant, "periods": ks},
+    if args.query == "periods":
+        ks = sorted(enumerate_periods(A, args.k_max, args.nonconstant))
+        return ({"kmax": args.k_max, "nonconstant": args.nonconstant, "periods": ks},
                 ["periods " + " ".join(map(str, ks))])
-    ps = period_structure(A, nonconstant_only=cfg.nonconstant)
+    ps = period_structure(A, nonconstant_only=args.nonconstant)
     result = {
         "gcd_r": ps.gcd_r, "threshold_t0": ps.threshold_t0,
         "exceptions": list(ps.exceptions), "transitive": ps.transitive,
@@ -124,16 +99,17 @@ def _run_lang(cfg, texts):
     return result, lines
 
 
-def _run_orient(cfg, texts):
+def _run_orient(args, texts):
     g = parse_graph(texts[0])
     F = ForbiddenSet(parse_digraph_blocks(texts[1], oriented=True))
-    verdict = admits_orientation(g, F, cfg.mode, budget=cfg.budget)
+    mode = SearchMode(args.containment, args.acyclic)
+    verdict = admits_orientation(g, F, mode, budget=args.budget)
     witness = sorted(verdict.witness.arcs) if verdict.witness else None
     result = {
         "admits": verdict.admits,
         "witness_arcs": [list(a) for a in witness] if witness else None,
         "work": verdict.work,
-        "mode": {"containment": cfg.mode.containment, "acyclic": cfg.mode.acyclic},
+        "mode": {"containment": mode.containment, "acyclic": mode.acyclic},
     }
     lines = [f"admits {verdict.admits}", f"work {verdict.work}"]
     if witness:
@@ -141,24 +117,24 @@ def _run_orient(cfg, texts):
     return result, lines
 
 
-def _run_spectrum(cfg, texts):
+def _run_spectrum(args, texts):
     F = ForbiddenSet(parse_digraph_blocks(texts[0], oriented=True))
-    spec = sorted(cycle_spectrum(F, cfg.k_min, cfg.k_max, acyclic=cfg.mode.acyclic))
-    return ({"range": [cfg.k_min, cfg.k_max], "acyclic": cfg.mode.acyclic,
+    spec = sorted(cycle_spectrum(F, args.k_min, args.k_max, acyclic=args.acyclic))
+    return ({"range": [args.k_min, args.k_max], "acyclic": args.acyclic,
              "spectrum": spec},
             ["spectrum " + " ".join(map(str, spec))])
 
 
-def _run_hom(cfg, texts):
+def _run_hom(args, texts):
     d1, d2 = parse_digraph(texts[0]), parse_digraph(texts[1])
-    w = hom_exists(d1, d2, budget=cfg.budget)
+    w = hom_exists(d1, d2, budget=args.budget)
     result = {"exists": w is not None,
               "mapping": list(w.mapping) if w else None}
     return result, [f"hom {result['exists']}"
                     + (f" mapping {list(w.mapping)}" if w else "")]
 
 
-def _run_core(cfg, texts):
+def _run_core(args, texts):
     c = core_of(parse_digraph(texts[0]))
     return {"core": digraph_to_json(c)}, digraph_to_text(c).splitlines()
 
@@ -179,22 +155,22 @@ def _duality_result(report):
     return result, lines
 
 
-def _run_duality_verify(cfg, texts):
+def _run_duality_verify(args, texts):
     a, b = parse_digraph(texts[0]), parse_digraph(texts[1])
     return _duality_result(
-        verify_generalized_duality((a,), (b,), cfg.n_max, jobs=cfg.jobs))
+        verify_generalized_duality((a,), (b,), args.n, jobs=args.jobs))
 
 
-def _run_duality_verify_gen(cfg, texts):
+def _run_duality_verify_gen(args, texts):
     F = parse_digraph_blocks(texts[0])
     M = parse_digraph_blocks(texts[1])
     return _duality_result(
-        verify_generalized_duality(F, M, cfg.n_max, jobs=cfg.jobs))
+        verify_generalized_duality(F, M, args.n, jobs=args.jobs))
 
 
-def _run_holes(cfg, texts):
+def _run_holes(args, texts):
     spec = parse_hole_spec(texts[0])
-    rep = trichotomy_verdict(spec, k_max=cfg.k_max)
+    rep = trichotomy_verdict(spec, k_max=args.k_max)
     checks = {
         name: {"passed": c.passed, "rule": c.rule,
                "witnesses": [list(w) if isinstance(w, tuple) else w
@@ -218,55 +194,20 @@ def _run_holes(cfg, texts):
     return result, lines
 
 
-HANDLERS = {
-    "translate": _run_translate,
-    "lang": _run_lang,
-    "orient": _run_orient,
-    "spectrum": _run_spectrum,
-    "hom": _run_hom,
-    "core": _run_core,
-    "duality verify": _run_duality_verify,
-    "duality verify-gen": _run_duality_verify_gen,
-    "holes analyze": _run_holes,
-}
+def _is_file(value):
+    try:
+        return Path(value).is_file()
+    except OSError:     # e.g. a word too long to be a file name
+        return False
 
 
-def _to_config(args) -> RunConfig:
-    base = dict(budget=args.budget, jobs=args.jobs, out_format=args.out_format)
-    sub = args.subcommand
-    if sub == "translate":
-        try:
-            is_file = Path(args.value).is_file()
-        except OSError:     # e.g. a word too long to be a file name
-            is_file = False
-        if is_file:
-            return RunConfig("translate", inputs=(args.value,), **base)
-        if any(c not in ALPHABET for c in args.value):
-            raise CliError(f"{args.value!r} is neither a readable file nor "
-                           f"a word over {ALPHABET!r}")
-        return RunConfig("translate", word=args.value, **base)
-    if sub == "lang":
-        return RunConfig("lang", inputs=(args.A,), query=args.query,
-                         k_max=args.kmax, nonconstant=args.nonconstant, **base)
-    if sub == "orient":
-        return RunConfig("orient", inputs=(args.g, args.F),
-                         mode=SearchMode(args.mode, args.acyclic), **base)
-    if sub == "spectrum":
-        lo, hi = _parse_range(args.range)
-        return RunConfig("spectrum", inputs=(args.F,), k_min=lo, k_max=hi,
-                         mode=SearchMode("induced", args.acyclic), **base)
-    if sub == "hom":
-        return RunConfig("hom", inputs=(args.d1, args.d2), **base)
-    if sub == "core":
-        return RunConfig("core", inputs=(args.d,), **base)
-    if sub == "duality":
-        paths = (args.A, args.B) if args.duality_cmd == "verify" else (args.F, args.M)
-        return RunConfig(f"duality {args.duality_cmd}", inputs=paths,
-                         n_max=args.n, **base)
-    return RunConfig("holes analyze", inputs=(args.spec,), k_max=args.kmax, **base)
-
-
-def _build_parser():
+@cache
+def _parser():
+    """The argument parser, built once.  Its namespace is the whole
+    configuration: each leaf subcommand sets its handler, its report name
+    (subcommand, which replaces the first word argparse stored there, since
+    a subparser's values are copied over its parent's) and the names of its
+    input-file arguments (inputs)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"),
                         default=argparse.SUPPRESS, dest="out_format")
@@ -285,94 +226,117 @@ def _build_parser():
                      help="search node budget (exit 2 when exceeded)")
     top.add_argument("--jobs", type=int, default=1,
                      help="parallel workers for universe scans")
+    # inputs_digest fields, at the values reported by subcommands without them
+    top.set_defaults(word="", query="", k_min=0, k_max=0, containment="induced",
+                     acyclic=False, nonconstant=False, n=4)
     sub = top.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("translate", help="word <-> oriented path",
-                       parents=[common])
+    def leaf(subparsers, name, handler, inputs, **kwargs):
+        p = subparsers.add_parser(name.split()[-1], parents=[common], **kwargs)
+        p.set_defaults(handler=handler, subcommand=name, inputs=inputs)
+        return p
+
+    p = leaf(sub, "translate", _run_translate, (), help="word <-> oriented path")
     p.add_argument("value", metavar="word|pathfile")
 
-    p = sub.add_parser("lang", help="factor-avoidance language queries",
-                       parents=[common])
+    p = leaf(sub, "lang", _run_lang, ("A",), help="factor-avoidance language queries")
     p.add_argument("query", choices=("periods", "structure", "transitive", "sync"))
     p.add_argument("-A", required=True, metavar="factorfile")
-    p.add_argument("--kmax", type=int, default=50)
+    p.add_argument("--kmax", type=int, default=50, dest="k_max", metavar="KMAX")
     p.add_argument("--nonconstant", action="store_true")
 
-    p = sub.add_parser("orient", help="search an avoiding orientation",
-                       parents=[common])
+    p = leaf(sub, "orient", _run_orient, ("g", "F"), help="search an avoiding orientation")
     p.add_argument("-g", required=True, metavar="graphfile")
     p.add_argument("-F", required=True, metavar="forbfile")
     p.add_argument("--mode", choices=("induced", "hom", "overlap"),
-                   default="induced")
+                   default="induced", dest="containment")
     p.add_argument("--acyclic", action="store_true")
 
-    p = sub.add_parser("spectrum", help="cycle lengths admitting an orientation",
-                       parents=[common])
+    p = leaf(sub, "spectrum", _run_spectrum, ("F",),
+             help="cycle lengths admitting an orientation")
     p.add_argument("-F", required=True, metavar="forbfile")
     p.add_argument("--range", required=True, metavar="a..b")
     p.add_argument("--acyclic", action="store_true")
 
-    p = sub.add_parser("hom", help="digraph homomorphism", parents=[common])
+    p = leaf(sub, "hom", _run_hom, ("d1", "d2"), help="digraph homomorphism")
     p.add_argument("d1", metavar="digraphfile")
     p.add_argument("d2", metavar="digraphfile")
 
-    p = sub.add_parser("core", help="minimum hom-equivalent retract",
-                       parents=[common])
+    p = leaf(sub, "core", _run_core, ("d",), help="minimum hom-equivalent retract")
     p.add_argument("d", metavar="digraphfile")
 
     p = sub.add_parser("duality", help="bounded duality verification")
     dsub = p.add_subparsers(dest="duality_cmd", required=True)
-    pv = dsub.add_parser("verify", parents=[common])
-    pv.add_argument("-A", required=True, metavar="digraphfile")
-    pv.add_argument("-B", required=True, metavar="digraphfile")
-    pv.add_argument("--n", type=int, default=4)
-    pg = dsub.add_parser("verify-gen", parents=[common])
-    pg.add_argument("-F", required=True, metavar="digraphsfile")
-    pg.add_argument("-M", required=True, metavar="digraphsfile")
-    pg.add_argument("--n", type=int, default=4)
+    p = leaf(dsub, "duality verify", _run_duality_verify, ("A", "B"))
+    p.add_argument("-A", required=True, metavar="digraphfile")
+    p.add_argument("-B", required=True, metavar="digraphfile")
+    p.add_argument("--n", type=int, default=4)
+    p = leaf(dsub, "duality verify-gen", _run_duality_verify_gen, ("F", "M"))
+    p.add_argument("-F", required=True, metavar="digraphsfile")
+    p.add_argument("-M", required=True, metavar="digraphsfile")
+    p.add_argument("--n", type=int, default=4)
 
     p = sub.add_parser("holes", help="hole-class expressibility analysis")
     hsub = p.add_subparsers(dest="holes_cmd", required=True)
-    ph = hsub.add_parser("analyze", parents=[common])
-    ph.add_argument("-spec", required=True, metavar="specfile")
-    ph.add_argument("--kmax", type=int, default=120)
+    p = leaf(hsub, "holes analyze", _run_holes, ("spec",))
+    p.add_argument("-spec", required=True, metavar="specfile")
+    p.add_argument("--kmax", type=int, default=120, dest="k_max",
+                   metavar="KMAX")
 
     return top
 
 
 def run(argv) -> tuple[int, str]:
     """Execute argv; returns (exit status, rendered report)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return (1 if e.code else 0), ""
     try:
-        cfg = _to_config(args)
-        texts = tuple(_read(p) for p in cfg.inputs)
-        result, lines = HANDLERS[cfg.subcommand](cfg, texts)
-    except (CliError, FormatError) as e:
-        return 1, f"error: {e}"
-    except ValueError as e:
+        if args.subcommand == "translate":
+            if _is_file(args.value):
+                args.inputs = ("value",)
+            elif any(c not in ALPHABET for c in args.value):
+                raise CliError(f"{args.value!r} is neither a readable file nor "
+                               f"a word over {ALPHABET!r}")
+            else:
+                args.word = args.value
+        if args.subcommand == "spectrum":
+            args.k_min, args.k_max = _parse_range(args.range)
+        if args.budget <= 0:
+            raise CliError("the work budget must be positive")
+        if args.jobs < 1:
+            raise CliError("jobs must be at least 1")
+        if args.k_min > args.k_max:
+            raise CliError("empty range")
+        texts = tuple(_read(getattr(args, name)) for name in args.inputs)
+        result, lines = args.handler(args, texts)
+    except (CliError, ValueError) as e:
         return 1, f"error: {e}"
     except WorkBudgetExceeded as e:
         return 2, f"work budget exceeded: {e}"
-    if cfg.out_format == "text":
+    if args.out_format == "text":
         return 0, "\n".join(lines)
-    digest_parts = [cfg.subcommand, cfg.word, cfg.query,
-                    str((cfg.k_min, cfg.k_max, cfg.mode.containment,
-                         cfg.mode.acyclic, cfg.nonconstant, cfg.n_max))] + list(texts)
+    digest_parts = [args.subcommand, args.word, args.query,
+                    str((args.k_min, args.k_max, args.containment, args.acyclic,
+                         args.nonconstant, args.n))] + list(texts)
     report = {
         "tool_version": __version__,
-        "subcommand": cfg.subcommand,
+        "subcommand": args.subcommand,
         "inputs_digest": _digest(digest_parts),
         "result": result,
     }
     return 0, json.dumps(report, indent=2, sort_keys=True)
 
 
+def _show_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    status, output = run(sys.argv[1:] if argv is None else argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        status, output = run(sys.argv[1:] if argv is None else argv)
     stream = sys.stderr if status else sys.stdout
     if output:
         print(output, file=stream)

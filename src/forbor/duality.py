@@ -10,8 +10,6 @@ re-verified certificates.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -47,42 +45,40 @@ def hom_exists(d1: Digraph, d2: Digraph,
                budget: int = HOM_BUDGET) -> HomWitness | None:
     """First homomorphism d1 -> d2 in deterministic order, or None.
 
-    Backtracking over d1's vertices (decreasing degree), with domains of
-    the unassigned vertices pruned for consistency against every assigned
-    neighbour after each assignment.
+    Backtracking over d1's vertices (decreasing degree), target values
+    ascending.  Each domain is a bitmask over d2's vertices; assigning v to
+    w narrows every unassigned neighbour's domain to w's out- or
+    in-neighbours, so a value still in a domain agrees with every assigned
+    neighbour and needs no further check.
     """
     if d1.n == 0:
         return HomWitness(())
     if d2.n == 0:
         return None
     order = sorted(range(d1.n), key=lambda v: (-sum(d1.degrees(v)), v))
-    domains = [list(range(d2.n)) for _ in range(d1.n)]
+    domains = [(1 << d2.n) - 1] * d1.n
     mapping = [None] * d1.n
     work = 0
 
-    out1, in1, nbr1 = (list(map(_bits, masks)) for masks in d1._adj)
-    out2 = d2._adj[0]
+    out1, in1, nbr1 = d1._adj
+    out2, in2, _ = d2._adj
+    nbr1 = [_bits(mask) for mask in nbr1]
 
-    def consistent(v, w):
-        for x in out1[v]:
-            if mapping[x] is not None and not out2[w] >> mapping[x] & 1:
-                return False
-        for x in in1[v]:
-            if mapping[x] is not None and not out2[mapping[x]] >> w & 1:
-                return False
-        return True
-
-    def prune(v):
-        """Shrink domains of later unassigned vertices against mapping[v]."""
+    def prune(v, w):
+        """Narrow the unassigned neighbours' domains against v -> w."""
         removed = []
         for x in nbr1[v]:
             if mapping[x] is not None:
                 continue
-            keep = [w for w in domains[x] if consistent(x, w)]
-            if len(keep) != len(domains[x]):
+            dom = domains[x]
+            if out1[v] >> x & 1:
+                dom &= out2[w]
+            if in1[v] >> x & 1:
+                dom &= in2[w]
+            if dom != domains[x]:
                 removed.append((x, domains[x]))
-                domains[x] = keep
-            if not keep:
+                domains[x] = dom
+            if not dom:
                 return removed, True
         return removed, False
 
@@ -91,20 +87,22 @@ def hom_exists(d1: Digraph, d2: Digraph,
             domains[x] = dom
 
     # an explicit stack, so long sources fit: one frame per vertex in order,
-    # holding its domain values not yet tried and the pruning of its value
-    frames = [[iter(domains[order[0]]), ()]]
+    # holding the mask of its domain values not yet tried and the pruning of
+    # its value
+    frames = [[domains[order[0]], ()]]
     while frames:
         frame = frames[-1]
         v = order[len(frames) - 1]
         restore(frame[1])
-        for w in frame[0]:
+        while frame[0]:
+            low = frame[0] & -frame[0]
+            frame[0] ^= low
+            w = low.bit_length() - 1
             work += 1
             if work > budget:
                 raise WorkBudgetExceeded(f"hom search exceeded {budget} nodes")
-            if not consistent(v, w):
-                continue
             mapping[v] = w
-            removed, wiped = prune(v)
+            removed, wiped = prune(v, w)
             if not wiped:
                 frame[1] = removed
                 break
@@ -115,7 +113,7 @@ def hom_exists(d1: Digraph, d2: Digraph,
             continue
         if len(frames) == d1.n:
             return HomWitness(tuple(mapping))
-        frames.append([iter(domains[order[len(frames)]]), ()])
+        frames.append([domains[order[len(frames)]], ()])
     return None
 
 
@@ -233,6 +231,9 @@ def verify_generalized_duality(F, M, n_max: int = 4,
     universe = list(_universe(n_max))
     hit = None
     if jobs > 1:
+        # imported here: the process machinery costs a serial run 1.4 MB
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         indexed = list(enumerate(universe))
         step = max(1, len(indexed) // (jobs * 4))
         chunks = [indexed[i:i + step] for i in range(0, len(indexed), step)]

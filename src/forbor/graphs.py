@@ -544,29 +544,29 @@ def _orbit_minima(n, slots):
 
 
 @lru_cache(maxsize=None)
+def _digraph_classes(n):
+    arc_slots = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return tuple(Digraph(n, frozenset(arc_slots[i] for i in _bits(m)))
+                 for m in _orbit_minima(n, arc_slots))
+
+
+@lru_cache(maxsize=None)
 def enumerate_digraphs(n: int, oriented_only: bool = False, limit: int = ENUM_LIMIT):
     """One canonical representative per isomorphism class of digraphs on n vertices.
 
     The representative is the labelling whose arc bitmask is least in its
     orbit (_orbit_minima), and results come back sorted by that mask, so
     the order is stable.  With oriented_only, classes containing a
-    symmetric arc pair are dropped.
+    symmetric arc pair are dropped from the same list.
     """
     if n > limit:
         raise ValueError(f"enumeration bound exceeded: {n} > {limit}")
     if n < 1:
         raise ValueError("need at least one vertex")
-    arc_slots = [(u, v) for u in range(n) for v in range(n) if u != v]
-    out = []
-    for m in _orbit_minima(n, arc_slots):
-        arcs = frozenset(arc_slots[i] for i in _bits(m))
-        if oriented_only:
-            if any((v, u) in arcs for u, v in arcs):
-                continue
-            out.append(OrientedGraph(n, arcs))
-        else:
-            out.append(Digraph(n, arcs))
-    return tuple(out)
+    if not oriented_only:
+        return _digraph_classes(n)
+    return tuple(OrientedGraph(n, d.arcs) for d in _digraph_classes(n)
+                 if not any((v, u) in d.arcs for u, v in d.arcs))
 
 
 @lru_cache(maxsize=None)

@@ -92,6 +92,23 @@ def orbit_minima_oracle(n, slots):
                    for move in moves)]
 
 
+def first_hom_oracle(d1, d2):
+    """First homomorphism d1 -> d2 as a tuple indexed by source vertex, or
+    None, by raw enumeration of every vertex map.  Maps are tried in
+    lexicographic order over d1's vertices sorted by decreasing in+out
+    degree (ties by label), target values ascending: the order in which a
+    backtracking search over that vertex order meets its first map."""
+    degree = [sum(v in a for a in d1.arcs) for v in range(d1.n)]
+    order = sorted(range(d1.n), key=lambda v: (-degree[v], v))
+    for values in product(range(d2.n), repeat=d1.n):
+        m = [None] * d1.n
+        for v, w in zip(order, values):
+            m[v] = w
+        if all((m[u], m[v]) in d2.arcs for u, v in d1.arcs):
+            return tuple(m)
+    return None
+
+
 def max_independent_set(g: Graph) -> int:
     best = 0
     for r in range(g.n, 0, -1):

@@ -1,11 +1,12 @@
+import random
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from conftest import arc, c3, p3, tt3
+from conftest import arc, c3, first_hom_oracle, p3, tt3
 
 from forbor import (
-    Digraph, duality, WorkBudgetExceeded, core_of, directed_cycle, directed_path,
+    Digraph, WorkBudgetExceeded, core_of, directed_cycle, directed_path,
     disjoint_union, enumerate_digraphs, hom_exists, is_hom_equivalent,
     is_isomorphic, is_oriented_forest, is_oriented_tree, known_duality_catalog,
     minimal_elements, transitive_tournament, verify_duality_pair,
@@ -52,6 +53,63 @@ def test_hom_budget():
     big2 = transitive_tournament(5)
     with pytest.raises(WorkBudgetExceeded):
         hom_exists(big1, big2, budget=3)
+
+
+def test_hom_exists_first_map_matches_oracle():
+    smalls = [d for n in (1, 2, 3) for d in enumerate_digraphs(n)]
+    fours = enumerate_digraphs(4)
+    pairs = [(a, b) for a in smalls for b in smalls]
+    pairs += [(a, b) for a in fours for b in smalls]
+    pairs += [(a, b) for a in smalls for b in fours]
+    for d1, d2 in pairs:
+        w = hom_exists(d1, d2)
+        assert (w.mapping if w else None) == first_hom_oracle(d1, d2)
+
+
+def _random_digraph(rng, n, p):
+    return Digraph(n, frozenset((u, v) for u in range(n) for v in range(n)
+                                if u != v and rng.random() < p))
+
+
+def _work(d1, d2):
+    """The work hom_exists spends on d1 -> d2: its smallest passing budget."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            hom_exists(d1, d2, budget=hi)
+            break
+        except WorkBudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            hom_exists(d1, d2, budget=mid)
+            hi = mid
+        except WorkBudgetExceeded:
+            lo = mid
+    return hi
+
+
+#: work of hom_exists on the pairs below, taken from the search that filtered
+#: whole domain lists value by value (the same order, so the same counts)
+WORK = [4, 8, 13, 5, 48, 70, 128, 64, 9, 10, 21, 21]
+
+
+def test_hom_exists_work_is_pinned():
+    rng = random.Random(1100)
+    k5, k4 = (Digraph(n, frozenset((u, v) for u in range(n) for v in range(n) if u != v))
+              for n in (5, 4))
+    pairs = [
+        (c3(), tt3()),
+        (directed_cycle(5), transitive_tournament(4)),
+        (directed_path(12), directed_cycle(3)),
+        (transitive_tournament(5), transitive_tournament(6)),
+        (directed_cycle(7), disjoint_union(directed_cycle(3), directed_cycle(5))),
+        (directed_cycle(11), disjoint_union(directed_cycle(3), directed_cycle(4))),
+        (directed_path(8), transitive_tournament(8)),
+        (k5, k4),
+    ] + [(_random_digraph(rng, 8, 0.25), _random_digraph(rng, 7, 0.3)) for _ in range(4)]
+    assert [_work(d1, d2) for d1, d2 in pairs] == WORK
 
 
 def test_core_of():
@@ -162,7 +220,7 @@ def test_generalized_duality_falls_back_when_the_pool_breaks(monkeypatch):
             raise BrokenProcessPool("a worker died")
 
     seq = verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=1)
-    monkeypatch.setattr(duality, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", BrokenPool)
     assert verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=2) == seq
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -271,3 +272,141 @@ def test_cli_reports_identical_across_hash_seeds(tmp_path):
                 capture_output=True, env=env, check=True).stdout
         outputs.add(blob)
     assert len(outputs) == 1
+
+
+# ---------------------------------------------------------------------------
+# golden reports: one invocation per subcommand, in both formats, pinned by
+# the sha256 of "<status>\n<output>" as the CLI produced them before its
+# configuration was folded into the parsed arguments
+
+GOLDEN_FILES = {
+    "c4.graph": C4_TEXT,
+    "b1.forb": B1_TEXT,
+    "bip.forb": BIP_FORB,
+    "p3.dig": "digraph 3\na 0 1\na 1 2\n",
+    "zig.dig": "digraph 4\na 0 1\na 2 1\na 2 3\n",
+    "tt2.dig": "digraph 2\na 0 1\n",
+    "c3.dig": "digraph 3\na 0 1\na 1 2\na 2 0\n",
+    "A.txt": ">>\n<<\n",
+    "odd.spec": "variant=odd_tail M=5\n",
+}
+
+GOLDEN_REPORTS = [
+    ("translate_word", ["translate", "><>"]),
+    ("translate_file", ["translate", "@zig.dig"]),
+    ("lang", ["lang", "periods", "-A", "@A.txt", "--kmax", "20", "--nonconstant"]),
+    ("orient", ["orient", "-g", "@c4.graph", "-F", "@b1.forb", "--mode", "overlap"]),
+    ("spectrum", ["spectrum", "-F", "@bip.forb", "--range", "4..12", "--acyclic"]),
+    ("hom", ["hom", "@zig.dig", "@p3.dig"]),
+    ("core", ["core", "@zig.dig"]),
+    ("duality_verify", ["duality", "verify", "-A", "@c3.dig", "-B", "@tt2.dig", "--n", "3"]),
+    ("duality_verify_gen", ["duality", "verify-gen", "-F", "@p3.dig", "-M", "@tt2.dig", "--n", "3"]),
+    ("holes", ["holes", "analyze", "-spec", "@odd.spec", "--kmax", "30"]),
+]
+
+GOLDEN_SHA256 = {
+    "translate_word-json": "0361c3f8bb0a18e01ff981bee23a70ca412f70ab2b5e198cfd306c4f68a573f5",
+    "translate_word-text": "d162d527c52d500ceef1d756b9c7cf092b1c77a9788f2c188d67c1ad8d047688",
+    "translate_file-json": "9f67be0df6466b062ce388b8fc29040cafaf7929707fb941ef1dc75e94894063",
+    "translate_file-text": "75c759d8cfca3a1013340a91337b020ccb842e6972dc4b253e511dc4c1cf983e",
+    "lang-json": "78312ba43a8dae9f731336d14edd82158509cdb4d7794541fd5db3c8a18ce7ee",
+    "lang-text": "a04cafaf2a2cb71514afc017eb74e7fca0749778654c459db01a47ac54b48beb",
+    "orient-json": "2ffb224f3a01a7ce4ab77d09eba31bf5c781951a742ed17ae0e23c9ef6f9b7d4",
+    "orient-text": "ec0148c8fbd2271fca6a32a972cb83c4cc1c3d8493bf4191fda34968e6248ae9",
+    "spectrum-json": "65f0752ef9f10599a2d24184031522e3b22c3c71ff06ea27679caf70fcde5a66",
+    "spectrum-text": "318f3bb0994d51d750e5f768ad1e9eba5f908cba03c88975578a7c8b1bcdb6fc",
+    "hom-json": "853b00513abd2bde8da71f1982f6e5b13db2cbdd4f847365e7233051dfc2a273",
+    "hom-text": "398733723ab0171642d7ea01dd529f6f36fe1bd6b623114adc42820cd23df81b",
+    "core-json": "dc729ffa0dd1e3f602c569626dc571da818cb62d02b7ad636e1e628face4a821",
+    "core-text": "4d62abaa5d8d6e62a8ef60f3f09c06c8579113dca0edaebb80fee9bd0469513f",
+    "duality_verify-json": "6b19f75237702cc115cf3589c09d91ab3387a95cbe0ba48bc07c98651995689b",
+    "duality_verify-text": "e432ce58e83e1bee1632329a642518789b3e37e47d5e57358cee0121cdcc1532",
+    "duality_verify_gen-json": "88905d29f3de26445fb936c72f92d91858e2656bf786040ce0abdd2852aaa193",
+    "duality_verify_gen-text": "73843cb639d5e06e7ae09899471673b5451e5bac3bb3791f4cc8ab9b42728e50",
+    "holes-json": "f5dd9e592af2420e4a245676cf14dc453f8c1748bb8d6db85af97c387a345a00",
+    "holes-text": "cf3a437e86b26e07de7514324435b12c224d5700e7ddb17a9db56b1f68ce8a70",
+    "translate_long_word": "5ff1cf86361ecf3b330c0a32ceed13bdc21a907032749d5a6bc14b28c3f9e065",
+}
+
+
+def _golden_argv(tmp_path, argv):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    return [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name, argv", GOLDEN_REPORTS, ids=[c[0] for c in GOLDEN_REPORTS])
+def test_cli_reports_are_pinned(tmp_path, name, argv, fmt):
+    status, out = run(_golden_argv(tmp_path, argv) + ["--format", fmt])
+    digest = hashlib.sha256(f"{status}\n{out}".encode()).hexdigest()
+    assert digest == GOLDEN_SHA256[f"{name}-{fmt}"]
+
+
+@pytest.mark.parametrize("argv, status, message", [
+    (["orient", "-g", "@missing.graph", "-F", "@b1.forb"], 1,
+     "error: cannot read @missing.graph: No such file or directory"),
+    (["spectrum", "-F", "@b1.forb", "--range", "4-12"], 1,
+     "error: range must look like 4..12, got '4-12'"),
+    (["spectrum", "-F", "@b1.forb", "--range", "9..4"], 1, "error: empty range"),
+    (["lang", "periods", "-A", "@A.txt", "--kmax", "-1"], 1, "error: empty range"),
+    (["lang", "periods", "-A", "@A.txt", "--kmax", "0"], 1, "error: k_max must be >= 1"),
+    (["holes", "analyze", "-spec", "@odd.spec", "--kmax", "-1"], 1, "error: empty range"),
+    (["holes", "analyze", "-spec", "@odd.spec", "--kmax", "0"], 1,
+     "error: k_max must be at least 4"),
+    (["--budget", "0", "lang", "sync", "-A", "@A.txt"], 1,
+     "error: the work budget must be positive"),
+    (["lang", "sync", "-A", "@A.txt", "--jobs", "0"], 1, "error: jobs must be at least 1"),
+    (["translate", "abc"], 1, "error: 'abc' is neither a readable file nor a word over '><'"),
+    (["translate", "@c3.dig"], 1, "error: not an orientation of a path"),
+    (["core", "@bip.forb"], 1, "error: line 5: duplicate digraph header"),
+    (["hom", "@c3.dig", "@tt2.dig", "--budget", "1"], 2,
+     "work budget exceeded: hom search exceeded 1 nodes"),
+    (["--version"], 0, ""),
+    ([], 1, ""),
+    (["duality"], 1, ""),
+], ids=["unreadable", "bad_range", "empty_range", "lang_kmax_negative", "lang_kmax_zero",
+        "holes_kmax_negative", "holes_kmax_zero", "budget_zero", "jobs_zero",
+        "translate_non_word", "translate_non_path", "parse_error", "budget_exhausted",
+        "version", "no_subcommand", "no_duality_subcommand"])
+def test_cli_errors_are_pinned(tmp_path, capsys, argv, status, message):
+    argv = _golden_argv(tmp_path, argv)
+    message = message.replace("@", str(tmp_path) + "/")
+    assert run(argv) == (status, message)
+
+
+def test_cli_long_word_report_is_pinned():
+    status, out = run(["translate", "><" * 150])
+    digest = hashlib.sha256(f"{status}\n{out}".encode()).hexdigest()
+    assert digest == GOLDEN_SHA256["translate_long_word"]
+
+
+def test_cli_missing_subcommand_messages(capsys):
+    assert run([]) == (1, "")
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "forbor: error: the following arguments are required: subcommand"
+    assert run(["holes"]) == (1, "")
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "forbor holes: error: the following arguments are required: holes_cmd"
+
+
+@pytest.mark.parametrize("spec, warning", [
+    ("variant=finite members=3,5\n", "warning: hole lengths below 4 dropped: [3]"),
+    ("variant=odd_tail M=-5\n", "warning: odd-tail threshold clamped to 4"),
+], ids=["short_lengths", "odd_tail_clamp"])
+def test_cli_warnings_print_as_one_line(tmp_path, spec, warning):
+    import os
+    import subprocess
+    import sys
+
+    import forbor
+
+    f = tmp_path / "class.spec"
+    f.write_text(spec)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(forbor.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "forbor.cli", "holes", "analyze", "-spec", str(f)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stderr == warning + "\n"
+    assert json.loads(proc.stdout)["subcommand"] == "holes analyze"
