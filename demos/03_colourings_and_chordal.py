@@ -21,11 +21,13 @@ for k in (2, 3):
     closed = homomorphic_image_closure(F)
     print(f"directed path on {k + 1} vertices closes into "
           f"{len(closed.members)} induced patterns")
+print("the hom search never builds the closure: it maps the path itself")
 
 print()
 print("== sweeping every graph on <= 5 vertices ==")
 FP3 = ForbiddenSet((directed_path(2),))
 FP4 = ForbiddenSet((directed_path(3),))
+FP5 = ForbiddenSet((directed_path(4),))
 FB1 = ForbiddenSet((word_to_path("<>"),))
 hom = SearchMode("hom")
 ind_ac = SearchMode("induced", acyclic=True)
@@ -35,8 +37,9 @@ for n in range(1, 6):
         total += 1
         assert admits_orientation(g, FP3, hom).admits == oracle_k_colourable(g, 2)
         assert admits_orientation(g, FP4, hom).admits == oracle_k_colourable(g, 3)
+        assert admits_orientation(g, FP5, hom).admits == oracle_k_colourable(g, 4)
         assert admits_orientation(g, FB1, ind_ac).admits == oracle_chordal(g)
-print(f"all {total} graphs agree on 2-colouring, 3-colouring and chordality")
+print(f"all {total} graphs agree on 2-, 3- and 4-colouring and chordality")
 
 print()
 print("== a few named graphs ==")

@@ -55,7 +55,7 @@ def hom_exists(d1: Digraph, d2: Digraph,
         return HomWitness(())
     if d2.n == 0:
         return None
-    order = sorted(range(d1.n), key=lambda v: (-sum(d1.degrees(v)), v))
+    order = d1._order
     domains = [(1 << d2.n) - 1] * d1.n
     mapping = [None] * d1.n
     work = 0

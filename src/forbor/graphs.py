@@ -117,6 +117,20 @@ class Digraph:
             inn[v] |= 1 << u
         return tuple(out), tuple(inn), tuple(o | i for o, i in zip(out, inn))
 
+    @cached_property
+    def _order(self):
+        """Vertices by decreasing in+out degree: the kernels' placement order."""
+        out, inn, _ = self._adj
+        return tuple(sorted(range(self.n),
+                            key=lambda v: (-out[v].bit_count() - inn[v].bit_count(), v)))
+
+    @cached_property
+    def _rel(self):
+        """rel[x][y], the relation from x to y, as _pattern numbers it."""
+        out, inn, _ = self._adj
+        return tuple(tuple((out[x] >> y & 1) | (inn[x] >> y & 1) << 1 for y in range(self.n))
+                     for x in range(self.n))
+
     def has_arc(self, u, v):
         return (u, v) in self.arcs
 
@@ -301,17 +315,14 @@ def _pattern(h: Digraph, nbr):
     Returns (order, rel, allowed): h's vertices by decreasing in+out
     degree; rel[x][y], the relation from x to y (0 no arc, 1 x -> y only,
     2 y -> x only, 3 a digon); and per vertex of h, the host vertices of
-    at least its underlying degree.
+    at least its underlying degree.  Only allowed depends on the host;
+    order and rel are cached on h.
     """
-    out, inn, hnbr = h._adj
-    order = sorted(range(h.n), key=lambda v: (-out[v].bit_count() - inn[v].bit_count(), v))
-    rel = [[(out[x] >> y & 1) | (inn[x] >> y & 1) << 1 for y in range(h.n)]
-           for x in range(h.n)]
     by_degree = {}
     for a, m in enumerate(nbr):
         by_degree[m.bit_count()] = by_degree.get(m.bit_count(), 0) | 1 << a
-    return order, rel, [sum(s for k, s in by_degree.items() if k >= m.bit_count())
-                        for m in hnbr]
+    return h._order, h._rel, [sum(s for k, s in by_degree.items() if k >= m.bit_count())
+                              for m in h._adj[2]]
 
 
 def _non_adjacent(nbr):
@@ -372,7 +383,7 @@ def is_acyclic(d: Digraph) -> bool:
     while queue:
         v = queue.pop()
         removed += 1
-        for w in d.out_neighbours(v):
+        for w in _bits(d._adj[0][v]):
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)

@@ -3,14 +3,14 @@
 The decision procedure orients edges one at a time (most-constrained edge
 first) and tests, after each assignment, only pattern embeddings that are
 fully decided and pass through the fresh edge, so the 2^|E| tree stays
-heavily pruned: the graphs module's induced-embedding kernel runs on the
-partial orientation with a pattern arc pinned to the fresh one.  The
+heavily pruned: the graphs module's embedding kernel runs on the partial
+orientation with pattern vertices pinned to the fresh arc's ends.  The
 search keeps its own stack, clear of Python's recursion limit.  Three
 containment semantics are supported: induced (forbid induced
-subdigraphs), hom (forbid homomorphic images, reduced to induced via the
-image closure) and overlap (forbid component-wise induced embeddings,
-images may overlap).  An acyclic flag also rejects each directed cycle
-as it closes.
+subdigraphs), hom (forbid homomorphic images: the same kernel, run
+non-injectively on the members themselves, see _prepare) and overlap
+(forbid component-wise induced embeddings, images may overlap).  An
+acyclic flag also rejects each directed cycle as it closes.
 """
 
 from __future__ import annotations
@@ -156,15 +156,41 @@ def _components_of(h: OrientedGraph):
     return tuple(induced_subdigraph(h, c) for c in connected_components(h))
 
 
-def _embeds_through(h: OrientedGraph, pattern, host, u, v):
-    """Does h embed, fully decided, with one of its arcs on the fresh arc u -> v?"""
-    order, rel, allowed = pattern
-    for x, y in h.arcs:
+def _prepare(h: OrientedGraph, g: Graph, hom: bool):
+    """h ready for _embeds_through on g: (order, rel, allowed, pins).
+
+    pins: the vertex pairs (x, y) of h that may land on a fresh arc u -> v,
+    each with its placement order; induced, h's arcs x -> y; hom, every
+    ordered pair without an arc y -> x.  A hom may fold h anywhere, so hom
+    mode has no degree filter, and its host's relation 0 holds every vertex
+    not joined to b by an undecided edge, b included: the kernel runs
+    non-injectively, and each image it finds spans no undecided edge.
+
+    Lemma: an oriented graph contains an induced member of
+    homomorphic_image_closure(F) iff some h in F maps into it, since the
+    subdigraph induced on a hom's image is a closure member and each
+    closure member is a hom image.  So hom mode decides the closure
+    predicate on F itself, without building the closure.
+    """
+    order, rel = h._order, h._rel
+    if hom:
+        allowed = [(1 << g.n) - 1] * h.n
+    else:
+        allowed = _pattern(h, g._nbr)[2]
+    pins = [(x, y, [x, y] + [z for z in order if z != x and z != y])
+            for x in order for y in order
+            if rel[x][y] == 1 or hom and x != y and rel[x][y] == 0]
+    return order, rel, allowed, pins
+
+
+def _embeds_through(pattern, host, u, v):
+    """Does the pattern land, fully decided, with a pinned pair on u -> v?"""
+    _, rel, allowed, pins = pattern
+    for x, y, placing in pins:
         if allowed[x] >> u & 1 and allowed[y] >> v & 1:
             pinned = list(allowed)
             pinned[x], pinned[y] = 1 << u, 1 << v
-            rest = [z for z in order if z != x and z != y]
-            if _embed(host, [x, y] + rest, rel, pinned) is not None:
+            if _embed(host, placing, rel, pinned) is not None:
                 return True
     return False
 
@@ -174,11 +200,12 @@ def verify_orientation(o: Orientation, F: ForbiddenSet, mode: SearchMode) -> boo
     d = o.oriented_graph()
     if mode.acyclic and not is_acyclic(d):
         return False
-    members = homomorphic_image_closure(F).members \
-        if mode.containment == "hom" else F.members
+    if mode.containment == "hom":
+        from .duality import hom_exists  # duality imports this module
+        return not any(hom_exists(h, d) is not None for h in F.members)
     if mode.containment == "overlap":
-        return not any(overlap_contains(h, d) for h in members)
-    return not any(contains_induced(h, d) is not None for h in members)
+        return not any(overlap_contains(h, d) for h in F.members)
+    return not any(contains_induced(h, d) is not None for h in F.members)
 
 
 def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
@@ -189,28 +216,27 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
     admits=False after exhausting the tree.  Raises WorkBudgetExceeded
     once more than `budget` direction assignments have been tried.
     """
-    if mode.containment == "hom":
-        members = homomorphic_image_closure(F).members
-    else:
-        members = F.members
+    hom = mode.containment == "hom"
     overlap = mode.containment == "overlap"
-    patterns = [_components_of(h) if overlap else (h,) for h in members]
-    prepared = [[_pattern(c, g._nbr) for c in comps] for comps in patterns]
+    patterns = [_components_of(h) if overlap else (h,) for h in F.members]
+    prepared = [[_prepare(c, g, hom) for c in comps] for comps in patterns]
 
     edges = g.sorted_edges()
     arcdir = {}
     # decided arcs as per-vertex masks; the host, in the kernel's relation
-    # order, shares the in and out lists, so it sees the partial orientation
+    # order, shares the in and out lists, so it sees the partial orientation.
+    # free[b]: the vertices not joined to b by an undecided edge, b included
     out = [0] * g.n
     inn = [0] * g.n
-    host = (_non_adjacent(g._nbr), inn, out)
+    free = [~m & (1 << g.n) - 1 for m in g._nbr]
+    host = (free if hom else _non_adjacent(g._nbr), inn, out)
     work = 0
 
     # components with no arcs embed without any decided edge; their truth
     # never changes, and a pattern made entirely of them fails immediately
     flag_state = []
     for comps, preps in zip(patterns, prepared):
-        flags = [not c.arcs and _embed(host, *p) is not None
+        flags = [not c.arcs and _embed(host, *p[:3]) is not None
                  for c, p in zip(comps, preps)]
         if all(flags):
             return OrientationVerdict(False, None, work)
@@ -221,14 +247,13 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
             trail = []
             for pi, (comps, preps) in enumerate(zip(patterns, prepared)):
                 for ci, (c, p) in enumerate(zip(comps, preps)):
-                    if not flag_state[pi][ci] and _embeds_through(c, p, host, u, v):
+                    if not flag_state[pi][ci] and _embeds_through(p, host, u, v):
                         flag_state[pi][ci] = True
                         trail.append((pi, ci))
                 if all(flag_state[pi]):
                     return True, trail
             return False, trail
-        return any(_embeds_through(comps[0], preps[0], host, u, v)
-                   for comps, preps in zip(patterns, prepared)), ()
+        return any(_embeds_through(preps[0], host, u, v) for preps in prepared), ()
 
     def choose_edge():
         # the undecided edge with the most decided edges at its ends
@@ -243,6 +268,8 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
     def toggle(u, v):
         out[u] ^= 1 << v
         inn[v] ^= 1 << u
+        free[u] ^= 1 << v
+        free[v] ^= 1 << u
 
     # depth first over edge directions, one frame per edge: the edge (None
     # once all are decided), the directions tried and the flags the last set

@@ -153,6 +153,19 @@ def test_cli_orient_and_witness_reverifies(tmp_path):
     assert verify_orientation(witness, F, SearchMode("induced"))
 
 
+def test_cli_orient_hom_with_a_large_member(tmp_path):
+    # four disjoint arcs and an isolated vertex: the member's image closure
+    # is far too large to build, yet it maps onto any single arc
+    (tmp_path / "p3.graph").write_text("graph 3\ne 0 1\ne 1 2\n")
+    (tmp_path / "m.forb").write_text("digraph 9\n" + "".join(
+        f"a {u} {u + 1}\n" for u in (0, 2, 4, 6)))
+    status, out = run(["orient", "-g", str(tmp_path / "p3.graph"),
+                       "-F", str(tmp_path / "m.forb"), "--mode", "hom"])
+    assert status == 0
+    result = json.loads(out)["result"]
+    assert (result["admits"], result["work"]) == (False, 2)
+
+
 def test_cli_translate_both_ways(tmp_path):
     status, out = run(["translate", "><"])
     assert status == 0

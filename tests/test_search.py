@@ -5,7 +5,7 @@ from conftest import arc, b1, c3, iso_oracle, p3, p4, tt3
 from forbor import (
     ForbiddenSet, Graph, OrientedGraph, SearchMode, WorkBudgetExceeded,
     admits_orientation, bridge_bound, complete_graph, contains_induced,
-    cycle_spectrum, directed_cycle, disjoint_union,
+    cycle_spectrum, directed_cycle, directed_path, disjoint_union,
     enumerate_graphs, graph_union, hom_exists, homomorphic_image_closure,
     make_cycle, make_path, multiples_property_check, oracle_chordal,
     oracle_k_colourable, orientations_of, overlap_contains,
@@ -214,20 +214,42 @@ def test_overlap_free_implies_plain_free_for_connected():
 
 
 def test_hom_free_equals_induced_free_under_closure():
-    # orientation-level equivalence on every orientation of every graph
-    # up to 4 vertices, and verdict-level up to 5
-    for F0 in (ForbiddenSet((p3(),)), ForbiddenSet((p4(),))):
+    # the hom search decides the closure predicate on F itself: the whole
+    # verdict (admits, work, witness) equals the induced search on the image
+    # closure, on every graph up to 5 vertices; and orientation-level, on
+    # every orientation of every graph up to 4 vertices
+    K1 = OrientedGraph(1)
+    for F0 in (ForbiddenSet((p3(),)), ForbiddenSet((p4(),)),
+               ForbiddenSet((tt3(), p4())),
+               ForbiddenSet((b1(), disjoint_union(arc(), arc()))),
+               ForbiddenSet((OrientedGraph(2),)), ForbiddenSet((disjoint_union(arc(), K1),)),
+               ForbiddenSet((c3(),))):
         closed = homomorphic_image_closure(F0)
-        for n in range(1, 5):
-            for g in enumerate_graphs(n):
-                for o in orientations_of(g):
-                    d = o.oriented_graph()
-                    hom_hit = any(hom_exists(h, d) for h in F0.members)
-                    ind_hit = any(contains_induced(h, d) for h in closed.members)
-                    assert hom_hit == ind_hit
-        for g in enumerate_graphs(5):
-            assert (admits_orientation(g, F0, HOM).admits
-                    == admits_orientation(g, closed, IND).admits)
+        for ac in (False, True):
+            hom, ind = SearchMode("hom", ac), SearchMode("induced", ac)
+            for n in range(1, 5):
+                for g in enumerate_graphs(n):
+                    for o in orientations_of(g):
+                        d = o.oriented_graph()
+                        hom_hit = any(hom_exists(h, d) for h in F0.members)
+                        ind_hit = any(contains_induced(h, d) for h in closed.members)
+                        assert hom_hit == ind_hit
+                        assert verify_orientation(o, F0, hom) == verify_orientation(o, closed, ind)
+            for n in range(1, 6):
+                for g in enumerate_graphs(n):
+                    a = admits_orientation(g, F0, hom)
+                    b = admits_orientation(g, closed, ind)
+                    assert (a.admits, a.work) == (b.admits, b.work), (F0, ac, g)
+                    assert (a.witness and sorted(a.witness.arcs)) == \
+                        (b.witness and sorted(b.witness.arcs)), (F0, ac, g)
+
+
+def test_four_colourable_through_directed_five_path():
+    # the closure of the directed path on 5 vertices is never built
+    F = ForbiddenSet((directed_path(4),))
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            assert admits_orientation(g, F, HOM).admits == oracle_k_colourable(g, 4)
 
 
 def test_rghv_and_chordal_on_small_graphs():
