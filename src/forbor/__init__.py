@@ -19,10 +19,10 @@ from .graphs import (
     transitive_tournament, underlying,
 )
 from .words import (
-    ALPHABET, BWD, FWD, FactorAutomaton, FactorSet, PeriodStructure, TailClaim,
-    enumerate_periods, forbidden_factor_set, gcd_and_cofiniteness, has_free_word,
-    is_A_free, is_factor, is_periodic, is_transitive, path_to_word,
-    period_structure, periodic_word, sync_bound, word_to_path,
+    ALPHABET, BWD, FWD, FactorAutomaton, FactorSet, PeriodStructure,
+    enumerate_periods, forbidden_factor_set, has_free_word, is_A_free, is_factor,
+    is_periodic, is_transitive, path_to_word, period_structure, periodic_word,
+    sync_bound, word_to_path,
 )
 from .search import (
     DEFAULT_BUDGET, ForbiddenSet, MultiplesReport, OrientationVerdict,

@@ -107,7 +107,7 @@ def _run_orient(args, texts):
     witness = sorted(verdict.witness.arcs) if verdict.witness else None
     result = {
         "admits": verdict.admits,
-        "witness_arcs": [list(a) for a in witness] if witness else None,
+        "witness_arcs": None if witness is None else [list(a) for a in witness],
         "work": verdict.work,
         "mode": {"containment": mode.containment, "acyclic": mode.acyclic},
     }

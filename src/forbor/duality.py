@@ -129,6 +129,8 @@ def core_of(d: Digraph, limit: int = CORE_LIMIT) -> Digraph:
     """
     if d.n > limit:
         raise ValueError(f"core computation is exhaustive, capped at {limit} vertices")
+    if d.n == 0:
+        return d
     for size in range(1, d.n + 1):
         found = []
         for subset in combinations(range(d.n), size):

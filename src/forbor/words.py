@@ -8,13 +8,17 @@ suffix-window automaton.  On top of that sit the period computations:
 which lengths k admit a k-word all of whose powers stay A-free, and the
 arithmetic structure (gcd, threshold, finite exception list) of that set
 when the language is transitive.
+
+Transitivity and the period gcd read one SCC decomposition per automaton,
+and `period_structure` reads every period length from one closed-walk pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import islice
 
 from .graphs import OrientedGraph, connected_components
 
@@ -78,14 +82,13 @@ class FactorSet:
     """
 
     members: frozenset = frozenset()
-    alphabet: str = ALPHABET
 
     def __post_init__(self):
         for w in self.members:
             if not w:
                 raise ValueError("the empty word cannot be a forbidden factor")
-            if any(c not in self.alphabet for c in w):
-                raise ValueError(f"word {w!r} uses letters outside {self.alphabet!r}")
+            if any(c not in ALPHABET for c in w):
+                raise ValueError(f"word {w!r} uses letters outside {ALPHABET!r}")
         minimal = frozenset(
             w for w in self.members
             if not any(v != w and v in w for v in self.members))
@@ -140,16 +143,13 @@ class FactorAutomaton:
 
     def __init__(self, factors: FactorSet):
         self.factors = factors
-        self.alphabet = factors.alphabet
+        self.alphabet = ALPHABET
         self.window = sync_bound(factors) - 1
-        states = []
+        states = [""]
         transitions = {}
-        queue = [""]
         seen = {""}
-        while queue:
-            s = queue.pop(0)
-            states.append(s)
-            for c in self.alphabet:
+        for s in states:  # the growing list is the breadth-first queue
+            for c in ALPHABET:
                 w = s + c
                 if any(w.endswith(a) for a in factors.members):
                     transitions[(s, c)] = None
@@ -158,7 +158,7 @@ class FactorAutomaton:
                 transitions[(s, c)] = t
                 if t not in seen:
                     seen.add(t)
-                    queue.append(t)
+                    states.append(t)
         self.states = tuple(states)
         self.transitions = transitions
         self.root = ""
@@ -194,6 +194,14 @@ class FactorAutomaton:
                     stack.append(t)
         return seen
 
+    @cached_property
+    def _sccs(self):
+        """Strongly connected components of the state graph, computed once."""
+        def succ(s):
+            return [t for c in ALPHABET if (t := self.transitions[(s, c)]) is not None]
+
+        return _tarjan_sccs(self.states, succ)
+
 
 @lru_cache(maxsize=None)
 def automaton(A: FactorSet) -> FactorAutomaton:
@@ -227,16 +235,12 @@ def is_transitive(A: FactorSet) -> bool:
     language is transitive iff every bottom SCC C reads every state p from
     some t in C.  Necessary, because for s in C the states reachable from
     s are exactly C.  Sufficient, because the states reachable from any s
-    contain a bottom SCC.
+    contain a bottom SCC.  The components are the automaton's shared
+    decomposition (`FactorAutomaton._sccs`).
     """
     aut = automaton(A)
-
-    def succ(s):
-        return [t for c in aut.alphabet if (t := aut.step(s, c)) is not None]
-
-    for comp in _tarjan_sccs(aut.states, succ):
-        members = set(comp)
-        if any(t not in members for s in comp for t in succ(s)):
+    for comp in aut._sccs:
+        if {aut.step(s, c) for s in comp for c in ALPHABET} - {None} - set(comp):
             continue
         for p in aut.states:
             if not any(aut.run(p, start=t) is not None for t in comp):
@@ -446,19 +450,19 @@ def _structural_gcd(A: FactorSet, nonconstant: bool) -> int:
     an SCC realize exactly the multiples of its cycle gcd (eventually), so
     the period-set gcd is the gcd over SCCs that contain a cycle; for the
     nonconstant variant only SCCs carrying both letters contribute.
+
+    The SCCs are those of the whole state graph (`FactorAutomaton._sccs`).
+    Every successor of a full state is full, and a shorter state's
+    successors are strictly longer, so shorter states are singleton SCCs
+    without an internal arc, skipped here, and the SCCs of full states are
+    exactly those of the walk graph over the full states.
     """
     aut = automaton(A)
-    full = aut.full_states()
-
-    def succ(s):
-        return [t for c in aut.alphabet
-                if (t := aut.step(s, c)) is not None and len(t) == aut.window]
-
     r = 0
-    for comp in _tarjan_sccs(full, succ):
+    for comp in aut._sccs:
         members = set(comp)
-        internal = [(s, t, c) for s in comp for c in aut.alphabet
-                    if (t := aut.step(s, c)) is not None and t in members]
+        internal = [(s, t, c) for s in comp for c in ALPHABET
+                    if (t := aut.step(s, c)) in members]
         if not internal:
             continue
         if nonconstant and len({c for _, _, c in internal}) < 2:
@@ -468,9 +472,8 @@ def _structural_gcd(A: FactorSet, nonconstant: bool) -> int:
         root = comp[0]
         level = {root: 0}
         queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for c in aut.alphabet:
+        for v in queue:
+            for c in ALPHABET:
                 t = aut.step(v, c)
                 if t in members and t not in level:
                     level[t] = level[v] + 1
@@ -499,28 +502,28 @@ def _semigroup_threshold(B, r) -> int:
     return worst + r if worst else 0
 
 
-def _certified_threshold(A: FactorSet, r: int, nonconstant: bool) -> int:
+def _certified_threshold(A: FactorSet, r: int, nonconstant: bool,
+                         flags: list, walks) -> int:
     """A bound beyond which every multiple of r is certified to be a period.
 
     Realizes the joining construction: concrete periodic words of lengths
     B (gcd r, each at least the sync bound), shortest connector words
     between consecutive ones found by automaton search, and a numerical
-    semigroup threshold for the positive combinations of B.
+    semigroup threshold for the positive combinations of B.  Period
+    lengths are read from flags (flags[k - 1]: is k a period), extended
+    from the closed-walk generator walks only as far as B needs.
     """
     aut = automaton(A)
     mhat = sync_bound(A)
     B = []
     g = 0
-    periods = enumerate_periods(A, max(4 * mhat + 64, 64), nonconstant)
-    hi = max(4 * mhat + 64, 64)
     k = max(mhat, 1)
     while g != r:
-        if k > hi:
-            hi *= 2
-            if hi > 100_000:
-                raise RuntimeError("could not realize the period gcd from samples")
-            periods = enumerate_periods(A, hi, nonconstant)
-        if k in periods and math.gcd(g, k) != g:
+        if k > 100_000:
+            raise RuntimeError("could not realize the period gcd from samples")
+        if k > len(flags):
+            flags.extend(islice(walks, k - len(flags)))
+        if flags[k - 1] and math.gcd(g, k) != g:
             B.append(k)
             g = math.gcd(g, k)
         k += 1
@@ -558,7 +561,9 @@ def period_structure(A: FactorSet, nonconstant_only: bool = False,
     For a transitive language the period set is a cofinite subset of the
     multiples of its gcd; the returned threshold is certified by the
     joining construction and the whole prediction is cross-checked against
-    enumeration up to max(threshold + 2 gcd, verify_to).  For a
+    enumeration up to max(threshold + 2 gcd, verify_to).  One closed-walk
+    pass serves both: the certificate reads the period flags as far as it
+    needs, and the cross-check extends the same flags.  For a
     non-transitive language only enumerated data is returned.
     """
     trans = is_transitive(A)
@@ -571,9 +576,12 @@ def period_structure(A: FactorSet, nonconstant_only: bool = False,
     r = _structural_gcd(A, nonconstant_only)
     if r == 0:
         return PeriodStructure(0, 1, (), True, nonconstant_only, (), verify_to)
-    t_cert = _certified_threshold(A, r, nonconstant_only)
+    flags = []
+    walks = _closed_walks(A, nonconstant_only)
+    t_cert = _certified_threshold(A, r, nonconstant_only, flags, walks)
     bound = max(t_cert + 2 * r, verify_to)
-    observed = enumerate_periods(A, bound, nonconstant_only)
+    flags.extend(islice(walks, bound - len(flags)))
+    observed = {k for k, closed in enumerate(flags, 1) if closed}
     exceptions = tuple(k for k in range(r, bound + 1, r) if k not in observed)
     if any(e >= t_cert for e in exceptions):
         raise AssertionError("certified threshold contradicted by enumeration")
@@ -585,44 +593,3 @@ def period_structure(A: FactorSet, nonconstant_only: bool = False,
         nonconstant_variant=nonconstant_only,
         observed=tuple(k for k in sorted(observed) if k <= verify_to),
         verified_to=bound)
-
-
-# ---------------------------------------------------------------------------
-# gcd / cofiniteness bookkeeping for sampled integer sets
-
-
-@dataclass(frozen=True)
-class TailClaim:
-    """Declared behaviour of an integer set beyond its sampled range.
-
-    kind "empty": nothing beyond the sample.  kind "multiples": beyond the
-    sample the set is exactly the multiples of `modulus`.  kind
-    "coinfinite": beyond any bound the set misses infinitely many
-    multiples of its gcd.
-    """
-
-    kind: str
-    modulus: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("empty", "multiples", "coinfinite"):
-            raise ValueError(f"unknown tail kind {self.kind!r}")
-        if (self.kind == "multiples") != (self.modulus is not None):
-            raise ValueError("modulus goes with kind 'multiples' only")
-
-
-def gcd_and_cofiniteness(sample, tail: TailClaim):
-    """(gcd r of the whole set, is it cofinite in r Z+?) from sample + tail.
-
-    The gcd of an empty set is 0, in which case the cofiniteness verdict
-    is vacuously true.  The declared tail is trusted, never inferred.
-    """
-    r_sample = reduce(math.gcd, sample, 0)
-    if tail.kind == "empty":
-        if r_sample == 0:
-            return 0, True
-        return r_sample, False
-    if tail.kind == "multiples":
-        r = math.gcd(r_sample, tail.modulus)
-        return r, tail.modulus == r
-    return r_sample, False

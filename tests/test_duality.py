@@ -117,6 +117,7 @@ def test_core_of():
     doubled = disjoint_union(directed_path(1), directed_path(1))
     assert is_isomorphic(core_of(doubled), directed_path(1))
     assert core_of(Digraph(1)).n == 1
+    assert core_of(Digraph(0)) == Digraph(0)
     with pytest.raises(ValueError):
         core_of(Digraph(9))
 

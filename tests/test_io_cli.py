@@ -166,6 +166,23 @@ def test_cli_orient_hom_with_a_large_member(tmp_path):
     assert (result["admits"], result["work"]) == (False, 2)
 
 
+def test_cli_orient_edgeless_graph_reports_an_empty_witness(tmp_path):
+    (tmp_path / "e2.graph").write_text("graph 2\n")
+    (tmp_path / "p3.forb").write_text("digraph 3\na 0 1\na 1 2\n")
+    status, out = run(["orient", "-g", str(tmp_path / "e2.graph"),
+                       "-F", str(tmp_path / "p3.forb")])
+    assert status == 0
+    result = json.loads(out)["result"]
+    assert (result["admits"], result["witness_arcs"]) == (True, [])
+
+
+def test_cli_core_of_the_empty_digraph(tmp_path):
+    (tmp_path / "empty.dig").write_text("digraph 0\n")
+    status, out = run(["core", str(tmp_path / "empty.dig")])
+    assert status == 0
+    assert json.loads(out)["result"]["core"] == {"n": 0, "arcs": []}
+
+
 def test_cli_translate_both_ways(tmp_path):
     status, out = run(["translate", "><"])
     assert status == 0

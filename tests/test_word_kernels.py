@@ -1,6 +1,8 @@
 """Word-layer kernels against the independent oracles, and CLI regressions
 on factor sets whose automata have thousands of states."""
 
+import dataclasses
+import hashlib
 import json
 import random
 from itertools import product
@@ -10,7 +12,10 @@ import pytest
 from conftest import periods_oracle, transitive_oracle
 from test_acceptance import all_small_factor_sets
 
-from forbor import FactorSet, enumerate_periods, is_transitive
+from forbor import (
+    FactorSet, enumerate_periods, is_transitive, period_structure, periodic_word,
+)
+from forbor import words
 from forbor.cli import run
 
 
@@ -57,3 +62,42 @@ def test_cli_lang_structure_of_long_constant_factors(tmp_path):
 
 def test_cli_lang_transitive_on_long_constant_factors(tmp_path):
     assert _lang(tmp_path, "transitive", 12)["transitive"] is True
+
+
+#: sha256 of the word layer's outputs on criterion 3's exhaustive pool and
+#: {>^L, <^L} for L = 2..10: the automaton's states in order, periodic_word
+#: for k <= 8 and every period_structure field, both variants.  Pins the
+#: breadth-first state order, the witness order, the certified threshold
+#: and verified_to.
+WORD_LAYER_SHA256 = "37914b898d51ab69784440e06d12e43ab129d7c43faf6b9f87188507586dcc25"
+
+
+def test_word_layer_is_pinned():
+    pool = all_small_factor_sets() + [FactorSet(frozenset({">" * L, "<" * L}))
+                                      for L in range(2, 11)]
+    rows = []
+    for A in pool:
+        rows.append(repr((sorted(A.members), words.automaton(A).states)))
+        for nc in (False, True):
+            rows.append(repr([periodic_word(A, k, nc) for k in range(1, 9)]))
+            rows.append(repr(dataclasses.astuple(period_structure(A, nc))))
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == WORD_LAYER_SHA256
+
+
+def test_period_structure_makes_one_scc_pass_and_one_walk_pass(monkeypatch):
+    calls = dict.fromkeys(("_tarjan_sccs", "_closed_walks", "enumerate_periods"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(words, name, counted(name, getattr(words, name)))
+    words.automaton.cache_clear()  # a fresh automaton has no SCCs yet
+    A = FactorSet(frozenset({">" * 6, "<" * 5, "<><<>"}))
+    assert is_transitive(A)
+    for nc in (False, True):
+        period_structure(A, nc)
+    assert calls == {"_tarjan_sccs": 1, "_closed_walks": 2, "enumerate_periods": 0}

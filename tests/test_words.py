@@ -5,11 +5,10 @@ import pytest
 from conftest import arc, c3, p3, powers_all_free, tt3
 
 from forbor import (
-    FactorAutomaton, FactorSet, TailClaim, contains_induced, directed_path,
-    enumerate_periods, forbidden_factor_set, gcd_and_cofiniteness,
-    has_free_word, is_A_free, is_factor, is_isomorphic, is_periodic,
-    is_transitive, path_to_word, period_structure, periodic_word, sync_bound,
-    word_to_path,
+    FactorAutomaton, FactorSet, contains_induced, directed_path,
+    enumerate_periods, forbidden_factor_set, has_free_word, is_A_free,
+    is_factor, is_isomorphic, is_periodic, is_transitive, path_to_word,
+    period_structure, periodic_word, sync_bound, word_to_path,
 )
 
 AF_BIP = FactorSet(frozenset({">>", "<<"}))
@@ -79,6 +78,8 @@ def test_factor_set_normalization():
         FactorSet(frozenset({""}))
     with pytest.raises(ValueError):
         FactorSet(frozenset({">a"}))
+    with pytest.raises(TypeError):  # the alphabet is fixed: '>' and '<'
+        FactorSet(frozenset({"aa"}), alphabet="ab")
 
 
 def test_is_A_free():
@@ -236,16 +237,3 @@ def test_period_structure_nontransitive_reports_data_only():
     assert ps.observed == tuple(range(1, 301))  # powers of '<'
     with pytest.raises(ValueError):
         ps.contains(4)
-
-
-def test_gcd_and_cofiniteness():
-    assert gcd_and_cofiniteness(range(2, 102, 2), TailClaim("multiples", 2)) == (2, True)
-    composites = [k for k in range(4, 100) if any(k % d == 0 for d in range(2, k))]
-    assert gcd_and_cofiniteness(composites, TailClaim("coinfinite")) == (1, False)
-    assert gcd_and_cofiniteness([], TailClaim("empty")) == (0, True)
-    assert gcd_and_cofiniteness([4, 8], TailClaim("empty")) == (4, False)
-    assert gcd_and_cofiniteness([4, 6], TailClaim("multiples", 4)) == (2, False)
-    with pytest.raises(ValueError):
-        TailClaim("weird")
-    with pytest.raises(ValueError):
-        TailClaim("multiples")
