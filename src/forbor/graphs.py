@@ -27,9 +27,14 @@ CANON_LIMIT = 8
 CANON_PERM_BUDGET = 1_000_000
 
 
-def _check_vertex(v, n):
-    if not (0 <= v < n):
-        raise ValueError(f"vertex {v} out of range [0, {n})")
+def _check_pairs(pairs, n):
+    """Raise ValueError for the first pair with an end outside [0, n) or a loop."""
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n and u != v):
+            for w in (u, v):
+                if not 0 <= w < n:
+                    raise ValueError(f"vertex {w} out of range [0, {n})")
+            raise ValueError(f"loop at vertex {u}")
 
 
 def _bits(mask):
@@ -62,13 +67,9 @@ class Graph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(
-            (min(u, v), max(u, v)) for u, v in self.edges))
-        for u, v in self.edges:
-            _check_vertex(u, self.n)
-            _check_vertex(v, self.n)
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
+        edges = frozenset((u, v) if u <= v else (v, u) for u, v in self.edges)
+        object.__setattr__(self, "edges", edges)
+        _check_pairs(edges, self.n)
 
     @cached_property
     def _nbr(self):
@@ -100,12 +101,9 @@ class Digraph:
     arcs: frozenset = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
-        for u, v in self.arcs:
-            _check_vertex(u, self.n)
-            _check_vertex(v, self.n)
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
+        arcs = frozenset(map(tuple, self.arcs))
+        object.__setattr__(self, "arcs", arcs)
+        _check_pairs(arcs, self.n)
 
     @cached_property
     def _adj(self):
@@ -115,7 +113,7 @@ class Digraph:
         for u, v in self.arcs:
             out[u] |= 1 << v
             inn[v] |= 1 << u
-        return tuple(out), tuple(inn), tuple(o | i for o, i in zip(out, inn))
+        return tuple(out), tuple(inn), tuple(map(int.__or__, out, inn))
 
     @cached_property
     def _order(self):
@@ -126,7 +124,8 @@ class Digraph:
 
     @cached_property
     def _rel(self):
-        """rel[x][y], the relation from x to y, as _pattern numbers it."""
+        """rel[x][y], the relation from x to y, as _embed numbers it: 0 no arc,
+        1 x -> y only, 2 y -> x only, 3 a digon."""
         out, inn, _ = self._adj
         return tuple(tuple((out[x] >> y & 1) | (inn[x] >> y & 1) << 1 for y in range(self.n))
                      for x in range(self.n))
@@ -155,8 +154,9 @@ class OrientedGraph(Digraph):
 
     def __post_init__(self):
         super().__post_init__()
-        for u, v in self.arcs:
-            if (v, u) in self.arcs:
+        arcs = self.arcs
+        for u, v in arcs:
+            if (v, u) in arcs:
                 raise ValueError(f"symmetric arc pair between {u} and {v}")
 
 
@@ -168,17 +168,21 @@ class Orientation:
     arcs: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", frozenset(tuple(a) for a in self.arcs))
+        arcs = frozenset(map(tuple, self.arcs))
+        object.__setattr__(self, "arcs", arcs)
+        edges = self.base.edges
+        # the arcs orient every edge once iff they are as many and cover them
+        if len(arcs) == len(edges) and {(u, v) if u <= v else (v, u) for u, v in arcs} == edges:
+            return
         seen = set()
-        for u, v in self.arcs:
+        for u, v in arcs:
             e = (min(u, v), max(u, v))
-            if e not in self.base.edges:
+            if e not in edges:
                 raise ValueError(f"arc {(u, v)} is not an edge of the base graph")
             if e in seen:
                 raise ValueError(f"edge {e} oriented twice")
             seen.add(e)
-        if len(seen) != len(self.base.edges):
-            raise ValueError("not every edge received a direction")
+        raise ValueError("not every edge received a direction")
 
     def direction(self, u, v):
         """The oriented arc carried by edge {u, v}."""
@@ -250,7 +254,7 @@ def transitive_tournament(n: int) -> OrientedGraph:
     """Acyclic tournament on n vertices: arc i -> j whenever i < j."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    return OrientedGraph(n, frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+    return OrientedGraph(n, frozenset(combinations(range(n), 2)))
 
 
 def disjoint_union(*ds):
@@ -309,20 +313,17 @@ def induced_subgraph(g: Graph, vertices):
 # containment, orientation enumeration, acyclicity, girth
 
 
-def _pattern(h: Digraph, nbr):
-    """h prepared for _embed into a host with neighbour masks nbr.
+def _allowed(h: Digraph, nbr):
+    """Per vertex of h, the mask of host vertices of at least its underlying degree.
 
-    Returns (order, rel, allowed): h's vertices by decreasing in+out
-    degree; rel[x][y], the relation from x to y (0 no arc, 1 x -> y only,
-    2 y -> x only, 3 a digon); and per vertex of h, the host vertices of
-    at least its underlying degree.  Only allowed depends on the host;
-    order and rel are cached on h.
+    nbr holds the host's neighbour masks.  A vertex of degree at most the
+    host's least degree gets the full mask without a scan.
     """
-    by_degree = {}
-    for a, m in enumerate(nbr):
-        by_degree[m.bit_count()] = by_degree.get(m.bit_count(), 0) | 1 << a
-    return h._order, h._rel, [sum(s for k, s in by_degree.items() if k >= m.bit_count())
-                              for m in h._adj[2]]
+    degree = list(map(int.bit_count, nbr))
+    least = min(degree, default=0)
+    full = (1 << len(nbr)) - 1
+    return [full if k <= least else sum(1 << a for a, j in enumerate(degree) if j >= k)
+            for k in map(int.bit_count, h._adj[2])]
 
 
 def _non_adjacent(nbr):
@@ -372,22 +373,31 @@ def contains_induced(h: Digraph, d: Digraph):
     out, inn, nbr = d._adj
     host = (_non_adjacent(nbr), [i & ~o for o, i in zip(out, inn)],
             [o & ~i for o, i in zip(out, inn)], [o & i for o, i in zip(out, inn)])
-    return _embed(host, *_pattern(h, nbr))
+    return _embed(host, h._order, h._rel, _allowed(h, nbr))
 
 
 def is_acyclic(d: Digraph) -> bool:
-    """True iff d has no directed cycle (a digon counts as a 2-cycle)."""
-    indeg = [m.bit_count() for m in d._adj[1]]
-    queue = [v for v in range(d.n) if indeg[v] == 0]
-    removed = 0
-    while queue:
-        v = queue.pop()
-        removed += 1
-        for w in _bits(d._adj[0][v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return removed == d.n
+    """True iff d has no directed cycle (a digon counts as a 2-cycle).
+
+    Peels source masks: each round removes every live vertex with no live
+    in-neighbour, and only the out-neighbours of one round's sources can
+    be sources in the next.  d is acyclic iff the peeling empties it.
+    """
+    out, inn, _ = d._adj
+    live = todo = (1 << d.n) - 1
+    while todo:
+        peel = 0
+        while todo:
+            low = todo & -todo
+            if not inn[low.bit_length() - 1] & live:
+                peel |= low
+            todo ^= low
+        live ^= peel
+        while peel:
+            low = peel & -peel
+            todo |= out[low.bit_length() - 1]
+            peel ^= low
+    return not live
 
 
 def orientations_of(g: Graph, acyclic_only: bool = False):
@@ -397,10 +407,7 @@ def orientations_of(g: Graph, acyclic_only: bool = False):
     is tried before high->low, with the last edge varying fastest.  With
     acyclic_only the stream is filtered down to acyclic orientations.
     """
-    edges = g.sorted_edges()
-    for bits in product((0, 1), repeat=len(edges)):
-        arcs = frozenset((u, v) if b == 0 else (v, u)
-                         for (u, v), b in zip(edges, bits))
+    for arcs in product(*(((u, v), (v, u)) for u, v in g.sorted_edges())):
         o = Orientation(g, arcs)
         if acyclic_only and not is_acyclic(o.oriented_graph()):
             continue

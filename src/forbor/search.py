@@ -4,13 +4,15 @@ The decision procedure orients edges one at a time (most-constrained edge
 first) and tests, after each assignment, only pattern embeddings that are
 fully decided and pass through the fresh edge, so the 2^|E| tree stays
 heavily pruned: the graphs module's embedding kernel runs on the partial
-orientation with pattern vertices pinned to the fresh arc's ends.  The
-search keeps its own stack, clear of Python's recursion limit.  Three
-containment semantics are supported: induced (forbid induced
-subdigraphs), hom (forbid homomorphic images: the same kernel, run
-non-injectively on the members themselves, see _prepare) and overlap
-(forbid component-wise induced embeddings, images may overlap).  An
-acyclic flag also rejects each directed cycle as it closes.
+orientation with pattern vertices pinned to the fresh arc's ends, and
+outside hom mode each pattern vertex may land only on graph vertices of at
+least its degree (the filter contains_induced applies).  The search keeps
+its own stack, clear of Python's recursion limit.  Three containment
+semantics are supported: induced (forbid induced subdigraphs), hom
+(forbid homomorphic images: the same kernel, run non-injectively on the
+members themselves, see _prepare) and overlap (forbid component-wise
+induced embeddings, images may overlap).  An acyclic flag also rejects
+each directed cycle as it closes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .graphs import (
-    Graph, OrientedGraph, Orientation, _closure, _embed, _non_adjacent, _pattern,
+    Graph, OrientedGraph, Orientation, _allowed, _closure, _embed, _non_adjacent,
     canonical_form, connected_components, contains_induced, enumerate_graphs,
     induced_subdigraph, is_acyclic, make_cycle,
 )
@@ -161,8 +163,10 @@ def _prepare(h: OrientedGraph, g: Graph, hom: bool):
 
     pins: the vertex pairs (x, y) of h that may land on a fresh arc u -> v,
     each with its placement order; induced, h's arcs x -> y; hom, every
-    ordered pair without an arc y -> x.  A hom may fold h anywhere, so hom
-    mode has no degree filter, and its host's relation 0 holds every vertex
+    ordered pair without an arc y -> x.  allowed is graphs._allowed's
+    degree filter on g, shared with contains_induced, since an orientation
+    keeps g's degrees.  A hom may fold h anywhere, so hom mode has no
+    degree filter, and its host's relation 0 holds every vertex
     not joined to b by an undecided edge, b included: the kernel runs
     non-injectively, and each image it finds spans no undecided edge.
 
@@ -173,10 +177,7 @@ def _prepare(h: OrientedGraph, g: Graph, hom: bool):
     predicate on F itself, without building the closure.
     """
     order, rel = h._order, h._rel
-    if hom:
-        allowed = [(1 << g.n) - 1] * h.n
-    else:
-        allowed = _pattern(h, g._nbr)[2]
+    allowed = [(1 << g.n) - 1] * h.n if hom else _allowed(h, g._nbr)
     pins = [(x, y, [x, y] + [z for z in order if z != x and z != y])
             for x in order for y in order
             if rel[x][y] == 1 or hom and x != y and rel[x][y] == 0]

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library code paths they check:
 isomorphism is decided by raw permutation search, periodicity by explicit
 power expansion, transitivity by one reachability search per automaton
-state, induced cycles by subset enumeration.
+state, induced cycles by subset enumeration, acyclicity by a search for
+a topological order.
 """
 
 from itertools import combinations, permutations, product
@@ -63,6 +64,38 @@ def induced_embeddings_oracle(h, d):
         if mapped == inside:
             out.append(dict(enumerate(image)))
     return out
+
+
+def topological_order_oracle(d):
+    """A vertex order putting every arc of d forward, or None.
+
+    Depth-first search over the sets of vertices placed so far: a vertex
+    may come next once all its in-neighbours are placed, and a placed set
+    that led nowhere is not entered again.
+    """
+    preds = [set() for _ in range(d.n)]
+    for u, v in d.arcs:
+        preds[v].add(u)
+    order, placed, dead = [], set(), set()
+    stack = [0]                 # per depth, the next vertex to try there
+    while stack:
+        if len(order) == d.n:
+            return order
+        v = stack[-1]
+        while v < d.n and (v in placed or not preds[v] <= placed
+                           or frozenset(placed | {v}) in dead):
+            v += 1
+        if v == d.n:
+            stack.pop()
+            dead.add(frozenset(placed))
+            if order:
+                placed.remove(order.pop())
+            continue
+        stack[-1] = v + 1
+        order.append(v)
+        placed.add(v)
+        stack.append(0)
+    return None
 
 
 def graph_iso_oracle(g1, g2) -> bool:

@@ -9,14 +9,14 @@ import pytest
 
 import forbor
 from conftest import all_labelled_digraphs, iso_oracle, max_independent_set, induced_cycle_lengths
-from conftest import orbit_minima_oracle
+from conftest import orbit_minima_oracle, topological_order_oracle
 from conftest import arc, b1, c3, p3, tt3
 
 from forbor import (
     Digraph, Graph, OrientedGraph, Orientation, canonical_form, complete_graph,
-    contains_induced, coupling, enumerate_digraphs,
+    contains_induced, coupling, directed_path, enumerate_digraphs,
     enumerate_graphs, girth, graphs_isomorphic, is_acyclic, is_isomorphic,
-    make_cycle, make_path, orientations_of, underlying,
+    make_cycle, make_path, orientations_of, transitive_tournament, underlying,
 )
 
 
@@ -31,6 +31,62 @@ def test_invariants_reject_bad_values():
         OrientedGraph(2, frozenset({(0, 1), (1, 0)}))
     # a digon is fine for a plain digraph
     assert len(Digraph(2, frozenset({(0, 1), (1, 0)})).arcs) == 2
+
+
+P2 = make_path(2)
+
+#: every invalid input names its first offending item, in the set's
+#: iteration order, and checks run in the order listed: range, loop,
+#: symmetric pair; for orientations, non-edge arc, edge oriented twice,
+#: then missing edge
+BAD_VALUES = [
+    (lambda: Graph(2, frozenset({(0, 3)})), "vertex 3 out of range [0, 2)"),
+    (lambda: Graph(2, frozenset({(3, 0)})), "vertex 3 out of range [0, 2)"),
+    (lambda: Graph(2, frozenset({(-1, 1)})), "vertex -1 out of range [0, 2)"),
+    (lambda: Graph(2, frozenset({(1, 1)})), "loop at vertex 1"),
+    (lambda: Graph(3, frozenset({(0, 0), (1, 1), (2, 2)})), "loop at vertex 1"),
+    (lambda: Graph(3, frozenset({(5, 5)})), "vertex 5 out of range [0, 3)"),
+    (lambda: Digraph(3, frozenset({(0, 5)})), "vertex 5 out of range [0, 3)"),
+    (lambda: Digraph(3, frozenset({(4, 0)})), "vertex 4 out of range [0, 3)"),
+    (lambda: Digraph(3, frozenset({(-1, 0)})), "vertex -1 out of range [0, 3)"),
+    (lambda: Digraph(3, frozenset({(1, 1)})), "loop at vertex 1"),
+    (lambda: Digraph(3, frozenset({(0, 0), (1, 1), (2, 2)})), "loop at vertex 1"),
+    (lambda: Digraph(3, frozenset({(5, 5)})), "vertex 5 out of range [0, 3)"),
+    (lambda: Digraph(3, frozenset({(0, 1), (2, 2), (1, 7)})), "vertex 7 out of range [0, 3)"),
+    (lambda: OrientedGraph(2, frozenset({(0, 1), (1, 0)})),
+     "symmetric arc pair between 0 and 1"),
+    (lambda: OrientedGraph(3, frozenset({(0, 1), (1, 0), (2, 1), (1, 2)})),
+     "symmetric arc pair between 0 and 1"),
+    (lambda: OrientedGraph(3, frozenset({(0, 1), (1, 0), (2, 2)})), "loop at vertex 2"),
+    (lambda: OrientedGraph(3, frozenset({(0, 1), (1, 0), (2, 9)})),
+     "vertex 9 out of range [0, 3)"),
+    (lambda: Orientation(P2, frozenset({(0, 1)})), "not every edge received a direction"),
+    (lambda: Orientation(P2, frozenset({(0, 1), (1, 2), (0, 2)})),
+     "arc (0, 2) is not an edge of the base graph"),
+    (lambda: Orientation(P2, frozenset({(0, 1), (2, 1), (0, 5)})),
+     "arc (0, 5) is not an edge of the base graph"),
+    (lambda: Orientation(P2, frozenset({(0, 1), (1, 0), (1, 2)})), "edge (0, 1) oriented twice"),
+    (lambda: Orientation(P2, frozenset({(0, 1), (1, 0)})), "edge (0, 1) oriented twice"),
+    (lambda: Orientation(P2, frozenset({(0, 1), (1, 0), (2, 0)})), "edge (0, 1) oriented twice"),
+    (lambda: Orientation(P2, frozenset({(1, 0), (2, 1), (1, 2)})), "edge (1, 2) oriented twice"),
+]
+
+
+@pytest.mark.parametrize("build, message", BAD_VALUES)
+def test_constructors_reject_with_exact_messages(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+def test_constructors_normalise_arcs_to_tuples():
+    values = [(Graph(3, [[2, 0], (1, 2)]).edges, {(0, 2), (1, 2)}),
+              (Digraph(2, [[0, 1], (1, 0)]).arcs, {(0, 1), (1, 0)}),
+              (OrientedGraph(3, [[0, 1], [2, 1]]).arcs, {(0, 1), (2, 1)}),
+              (Orientation(P2, [[1, 0], [1, 2]]).arcs, {(1, 0), (1, 2)})]
+    for got, want in values:
+        assert type(got) is frozenset and got == want
+        assert all(type(a) is tuple for a in got)
 
 
 def test_make_path():
@@ -130,6 +186,49 @@ def test_is_acyclic():
     assert is_acyclic(tt3())
     assert not is_acyclic(c3())
     assert not is_acyclic(Digraph(2, frozenset({(0, 1), (1, 0)})))
+
+
+def _agrees_with_topological_order(d):
+    order = topological_order_oracle(d)
+    if order is not None:
+        position = {v: i for i, v in enumerate(order)}
+        assert sorted(order) == list(range(d.n))
+        assert all(position[u] < position[v] for u, v in d.arcs)
+    return is_acyclic(d) == (order is not None)
+
+
+def test_is_acyclic_agrees_with_oracle_on_small_digraphs():
+    """Every labelled digraph on at most 4 vertices, digons included."""
+    assert all(_agrees_with_topological_order(d)
+               for n in range(5) for d in all_labelled_digraphs(n))
+
+
+def test_is_acyclic_agrees_with_oracle_on_random_digraphs(rng):
+    """Random digraphs up to 10 vertices, and random DAGs with and without one back arc."""
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        d = Digraph(n, frozenset(a for a in pairs if rng.random() < rng.uniform(0.05, 0.4)))
+        assert _agrees_with_topological_order(d)
+        rank = rng.sample(range(n), n)
+        dag = {(u, v) for u, v in pairs if rank[u] < rank[v] and rng.random() < 0.4}
+        assert _agrees_with_topological_order(Digraph(n, frozenset(dag)))
+        if dag:
+            u, v = rng.choice(sorted(dag))
+            assert _agrees_with_topological_order(Digraph(n, frozenset(dag | {(v, u)})))
+            assert _agrees_with_topological_order(Digraph(n, frozenset(dag - {(u, v)} | {(v, u)})))
+
+
+def test_is_acyclic_agrees_with_oracle_on_long_and_dense_digraphs():
+    path, tt = directed_path(2000), transitive_tournament(60)
+    for d in (path, tt):
+        assert _agrees_with_topological_order(d)
+        assert is_acyclic(d)
+    closed = Digraph(path.n, path.arcs | {(2000, 0)})
+    flipped = Digraph(tt.n, tt.arcs - {(0, 59)} | {(59, 0)})
+    for d in (closed, flipped):
+        assert _agrees_with_topological_order(d)
+        assert not is_acyclic(d)
 
 
 def test_girth():

@@ -9,11 +9,12 @@ import json
 from conftest import induced_embeddings_oracle
 
 from forbor import (
-    Digraph, Graph, contains_induced, coupling, directed_cycle, directed_path,
+    Digraph, Graph, OrientedGraph, contains_induced, coupling, directed_cycle, directed_path,
     disjoint_union, enumerate_digraphs, make_cycle, transitive_tournament,
     word_to_path,
 )
 from forbor.cli import run
+from forbor.graphs import _allowed
 from forbor.io import digraph_to_text, graph_to_text
 
 
@@ -112,3 +113,43 @@ def test_contains_induced_agrees_with_oracle():
             # the first embedding: earliest images in placement order
             first = min(every, key=lambda m: [m[x] for x in order])
             assert found == first and list(found) == order
+
+
+STARS = [OrientedGraph(4, frozenset({(0, 1), (0, 2), (0, 3)})),
+         OrientedGraph(5, frozenset({(1, 0), (2, 0), (3, 0), (4, 0)})),
+         Digraph(4, frozenset({(0, 1), (2, 0), (0, 3), (3, 0)}))]
+
+
+def test_contains_induced_first_map_agrees_with_oracle_on_random_pairs(rng):
+    """Patterns on 4-5 vertices, stars among them, in hosts on 6-7 vertices with digons.
+
+    A third of the patterns are stars, which make the degree filter prune,
+    a third are random, and a third are relabelled induced subdigraphs of
+    their host, so that embeddings are found as well as refuted.
+    """
+    pruned = found = digons = 0
+    for trial in range(90):
+        n = rng.randint(6, 7)
+        host = Digraph(n, frozenset((u, v) for u in range(n) for v in range(n)
+                                    if u != v and rng.random() < rng.uniform(0.2, 0.5)))
+        k = rng.randint(4, 5)
+        if trial % 3 == 0:
+            h = rng.choice(STARS)
+        elif trial % 3 == 1:
+            h = Digraph(k, frozenset((u, v) for u in range(k) for v in range(k)
+                                     if u != v and rng.random() < 0.3))
+        else:
+            vs = rng.sample(range(n), k)
+            h = Digraph(k, frozenset((vs.index(u), vs.index(v)) for u, v in host.arcs
+                                     if u in vs and v in vs))
+        pruned += any(m != (1 << n) - 1 for m in _allowed(h, host._adj[2]))
+        digons += any((v, u) in host.arcs for u, v in host.arcs)
+        got = contains_induced(h, host)
+        every = induced_embeddings_oracle(h, host)
+        order = sorted(range(h.n), key=lambda v: (-sum(h.degrees(v)), v))
+        if not every:
+            assert got is None
+            continue
+        found += 1
+        assert got == min(every, key=lambda m: [m[x] for x in order]) and list(got) == order
+    assert pruned >= 20 and found >= 30 and digons >= 30
