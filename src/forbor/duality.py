@@ -230,13 +230,12 @@ def verify_generalized_duality(F, M, n_max: int = 4,
     """
     forb = tuple(F)
     targets = tuple(M)
-    universe = list(_universe(n_max))
+    indexed = list(enumerate(_universe(n_max)))
     hit = None
     if jobs > 1:
         # imported here: the process machinery costs a serial run 1.4 MB
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
-        indexed = list(enumerate(universe))
         step = max(1, len(indexed) // (jobs * 4))
         chunks = [indexed[i:i + step] for i in range(0, len(indexed), step)]
         try:
@@ -248,11 +247,7 @@ def verify_generalized_duality(F, M, n_max: int = 4,
         except (OSError, BrokenProcessPool):
             jobs = 1  # environments without process spawning fall back
     if jobs <= 1:
-        for i, D in enumerate(universe):
-            v = _duality_violation(D, forb, targets)
-            if v is not None:
-                hit = (i, D, v)
-                break
+        hit = _scan_chunk((forb, targets, indexed))
     if hit is None:
         return DualityReport(holds_up_to=n_max)
     _, D, (lhs, rhs) = hit

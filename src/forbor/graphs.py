@@ -28,13 +28,17 @@ CANON_PERM_BUDGET = 1_000_000
 
 
 def _check_pairs(pairs, n):
-    """Raise ValueError for the first pair with an end outside [0, n) or a loop."""
+    """Raise ValueError for the first pair with an end that is not an int
+    (a bool is not one), an end outside [0, n), or a loop."""
     for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n and u != v):
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v):
             for w in (u, v):
+                if not isinstance(w, int) or isinstance(w, bool):
+                    raise ValueError(f"vertex {w!r} of pair {(u, v)!r} is not an integer")
                 if not 0 <= w < n:
                     raise ValueError(f"vertex {w} out of range [0, {n})")
-            raise ValueError(f"loop at vertex {u}")
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
 
 
 def _bits(mask):

@@ -9,8 +9,10 @@ which lengths k admit a k-word all of whose powers stay A-free, and the
 arithmetic structure (gcd, threshold, finite exception list) of that set
 when the language is transitive.
 
-Transitivity and the period gcd read one SCC decomposition per automaton,
-and `period_structure` reads every period length from one closed-walk pass.
+The automaton is one integer successor table, and every walk over it
+reads that table by state position.  Transitivity and the period gcd
+read one SCC decomposition per automaton, and `period_structure` reads
+every period length from one closed-walk pass.
 """
 
 from __future__ import annotations
@@ -25,6 +27,12 @@ from .graphs import OrientedGraph, connected_components
 FWD = ">"
 BWD = "<"
 ALPHABET = FWD + BWD
+#: letter -> its row in a successor table
+_LETTER = {c: b for b, c in enumerate(ALPHABET)}
+
+#: hard cap on automaton states: they grow as 2^(longest factor), and a
+#: walk pass holds one bit row per full state
+STATE_LIMIT = 1 << 16
 
 
 def is_factor(a: str, b: str) -> bool:
@@ -138,7 +146,11 @@ class FactorAutomaton:
     The state after reading w is the longest suffix of w of length at most
     window = (max factor length) - 1, or w itself while shorter; a word is
     A-free iff its run never dies.  States are exactly the A-free words of
-    length <= window (every one is reached by reading itself).
+    length <= window (every one is reached by reading itself), listed in
+    breadth-first order.  `_succ[b][i]` is the position of state i's
+    successor under `ALPHABET[b]`, -1 where the step dies; each row ends
+    in a -1, so a dead position reads dead again.  Past `STATE_LIMIT`
+    states, construction raises ValueError.
     """
 
     def __init__(self, factors: FactorSet):
@@ -146,61 +158,77 @@ class FactorAutomaton:
         self.alphabet = ALPHABET
         self.window = sync_bound(factors) - 1
         states = [""]
-        transitions = {}
-        seen = {""}
+        index = {"": 0}
+        succ = ([], [])
         for s in states:  # the growing list is the breadth-first queue
-            for c in ALPHABET:
+            for c, row in zip(ALPHABET, succ):
                 w = s + c
                 if any(w.endswith(a) for a in factors.members):
-                    transitions[(s, c)] = None
+                    row.append(-1)
                     continue
                 t = w[-self.window:] if self.window else ""
-                transitions[(s, c)] = t
-                if t not in seen:
-                    seen.add(t)
+                i = index.get(t)
+                if i is None:
+                    if len(states) == STATE_LIMIT:
+                        raise ValueError(
+                            f"the factor automaton exceeds {STATE_LIMIT} states "
+                            f"(longest forbidden factor: {self.window + 1} letters)")
+                    i = index[t] = len(states)
                     states.append(t)
+                row.append(i)
         self.states = tuple(states)
-        self.transitions = transitions
+        self._index = index
+        self._succ = tuple(row + [-1] for row in succ)
         self.root = ""
 
+    def _read(self, i, word):
+        """Position after reading word from position i, or -1 if the run dies."""
+        for c in word:
+            i = self._succ[_LETTER[c]][i] if c in _LETTER else -1
+            if i < 0:
+                return -1
+        return i
+
     def step(self, state, letter):
-        return self.transitions.get((state, letter))
+        b = _LETTER.get(letter)
+        i = -1 if b is None else self._succ[b][self._index.get(state, -1)]
+        return self.states[i] if i >= 0 else None
 
     def run(self, word, start=""):
         """Final state after reading word from start, or None if the run dies."""
-        s = start
-        for c in word:
-            s = self.transitions.get((s, c))
-            if s is None:
-                return None
-        return s
+        if not word:
+            return start
+        i = self._read(self._index.get(start, -1), word)
+        return self.states[i] if i >= 0 else None
 
     def accepts(self, word: str) -> bool:
         return self.run(word) is not None
 
     def full_states(self):
-        """States of maximal window length; closed walks live here."""
+        """States of maximal window length (the tail of `states`)."""
         return tuple(s for s in self.states if len(s) == self.window)
 
     def reachable_from(self, state):
-        seen = {state}
-        stack = [state]
-        while stack:
-            s = stack.pop()
-            for c in self.alphabet:
-                t = self.transitions.get((s, c))
-                if t is not None and t not in seen:
+        if state not in self._index:
+            return {state}
+        return {self.states[i] for i, _ in self._bfs(self._index[state])}
+
+    def _bfs(self, i):
+        """(position, distance) of all that position i reaches, breadth-first."""
+        f, b = self._succ
+        queue = [(i, 0)]
+        seen = {-1, i}
+        for s, d in queue:  # the growing list is the breadth-first queue
+            yield s, d
+            for t in (f[s], b[s]):
+                if t not in seen:
                     seen.add(t)
-                    stack.append(t)
-        return seen
+                    queue.append((t, d + 1))
 
     @cached_property
     def _sccs(self):
-        """Strongly connected components of the state graph, computed once."""
-        def succ(s):
-            return [t for c in ALPHABET if (t := self.transitions[(s, c)]) is not None]
-
-        return _tarjan_sccs(self.states, succ)
+        """The state graph's SCCs as lists of positions, computed once."""
+        return _kosaraju_sccs(self._succ)
 
 
 @lru_cache(maxsize=None)
@@ -211,11 +239,11 @@ def automaton(A: FactorSet) -> FactorAutomaton:
 
 def has_free_word(A: FactorSet, k: int) -> bool:
     """True iff some k-letter word is A-free."""
-    aut = automaton(A)
-    layer = {aut.root}
+    f, b = automaton(A)._succ
+    layer = {0}
     for _ in range(k):
-        layer = {aut.step(s, c) for s in layer for c in aut.alphabet}
-        layer.discard(None)
+        layer = {t for s in layer for t in (f[s], b[s])}
+        layer.discard(-1)
         if not layer:
             return False
     return True
@@ -239,11 +267,12 @@ def is_transitive(A: FactorSet) -> bool:
     decomposition (`FactorAutomaton._sccs`).
     """
     aut = automaton(A)
+    f, b = aut._succ
     for comp in aut._sccs:
-        if {aut.step(s, c) for s in comp for c in ALPHABET} - {None} - set(comp):
+        if {t for s in comp for t in (f[s], b[s])} - {-1} - set(comp):
             continue
         for p in aut.states:
-            if not any(aut.run(p, start=t) is not None for t in comp):
+            if not any(aut._read(t, p) >= 0 for t in comp):
                 return False
     return True
 
@@ -267,10 +296,11 @@ def is_periodic(w: str, A: FactorSet) -> bool:
 # The walk graph has an arc s -> t labelled c when reading c from the
 # full state s survives.  A k-word with all powers A-free corresponds
 # exactly to a closed k-walk (the word's windows), nonconstant words to
-# closed walks using both letters.  The automaton is deterministic, so
-# each letter is a successor map (index of the next full state, -1 where
-# the step dies) and a boolean k-walk matrix is a list of row bitmasks.
-# A step prepends one letter: row i of the (k+1)-walk matrix is the row
+# closed walks using both letters.  Breadth-first order is by length, so
+# the full states are the tail of the states from position lo, and their
+# successors are full: the successor table's tail less lo is the walk
+# graph, with no index dict.  A k-walk matrix is a list of row bitmasks;
+# a step prepends one letter: row i of the (k+1)-walk matrix is the row
 # of i's successor in the k-walk matrix, O(n) row lookups per step.  Row
 # lists carry a trailing 0 so that index -1 (a dead step) reads no walk.
 
@@ -279,10 +309,10 @@ def _closed_walks(A: FactorSet, nonconstant: bool):
     """For k = 1, 2, ...: is there a closed k-walk (using both letters if
     nonconstant) over the full states?  An endless generator."""
     aut = automaton(A)
-    full = aut.full_states()
-    index = {s: i for i, s in enumerate(full)}
-    f, b = ([index.get(aut.step(s, c), -1) for s in full] for c in (FWD, BWD))
-    unit = [1 << i for i in range(len(full))] + [0]
+    n = len(aut.full_states())
+    lo = len(aut.states) - n
+    f, b = ([t - lo if t >= 0 else -1 for t in row[lo:-1]] for row in aut._succ)
+    unit = [1 << i for i in range(n)] + [0]
 
     def closed(rows):
         return any(row >> i & 1 for i, row in enumerate(rows))
@@ -295,7 +325,7 @@ def _closed_walks(A: FactorSet, nonconstant: bool):
     # fwd/bwd: walks using '>' / '<' only; both: walks using both letters
     fwd = [unit[x] for x in f] + [0]
     bwd = [unit[y] for y in b] + [0]
-    both = [0] * (len(full) + 1)
+    both = [0] * (n + 1)
     while True:
         yield closed(both)
         both = [both[x] | bwd[x] | both[y] | fwd[y] for x, y in zip(f, b)] + [0]
@@ -395,51 +425,41 @@ class PeriodStructure:
             and k not in self.exceptions
 
 
-def _tarjan_sccs(nodes, succ):
-    """Strongly connected components (Tarjan, iterative), in discovery order."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
+def _kosaraju_sccs(succ):
+    """Strongly connected components of a successor table's graph (Kosaraju,
+    iterative): list positions by depth-first finishing time, then claim,
+    in reverse finishing order, every unclaimed position reaching a root.
+    """
+    f, b = succ
+    n = len(f) - 1
+    seen = bytearray(n + 1)
+    seen[n] = 1  # position -1 reads seen[n]: a dead step is never followed
+    finished = []
+    for root in range(n):
+        stack = [] if seen[root] else [root]
+        seen[root] = 1
+        while stack:  # out-degree <= 2: re-test both successors on each visit
+            v = stack[-1]
+            if not seen[t := f[v]] or not seen[t := b[v]]:
+                seen[t] = 1
+                stack.append(t)
+            else:
+                finished.append(stack.pop())
+    pred = [[] for _ in range(n + 1)]  # pred[-1] collects the dead steps
+    for v in range(n):
+        for t in (f[v], b[v]):
+            pred[t].append(v)
     sccs = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+    for root in reversed(finished):  # pass 2 clears the marks it claims
+        if seen[root]:
+            seen[root] = 0
+            comp = [root]
+            for v in comp:  # the growing list is the search's queue
+                for u in pred[v]:
+                    if seen[u]:
+                        seen[u] = 0
+                        comp.append(u)
+            sccs.append(comp)
     return sccs
 
 
@@ -458,30 +478,24 @@ def _structural_gcd(A: FactorSet, nonconstant: bool) -> int:
     exactly those of the walk graph over the full states.
     """
     aut = automaton(A)
+    f, b = aut._succ
     r = 0
     for comp in aut._sccs:
         members = set(comp)
-        internal = [(s, t, c) for s in comp for c in ALPHABET
-                    if (t := aut.step(s, c)) in members]
-        if not internal:
-            continue
-        if nonconstant and len({c for _, _, c in internal}) < 2:
+        internal = [(s, t, c) for s in comp for c, t in enumerate((f[s], b[s]))
+                    if t in members]
+        if not internal or nonconstant and len({c for *_, c in internal}) < 2:
             continue
         # cycle gcd via BFS levels: every internal arc contributes
         # level(u) + 1 - level(v)
-        root = comp[0]
-        level = {root: 0}
-        queue = [root]
+        level = {comp[0]: 0}
+        queue = [comp[0]]
         for v in queue:
-            for c in ALPHABET:
-                t = aut.step(v, c)
+            for t in (f[v], b[v]):
                 if t in members and t not in level:
                     level[t] = level[v] + 1
                     queue.append(t)
-        p = 0
-        for s, t, _ in internal:
-            p = math.gcd(p, level[s] + 1 - level[t])
-        r = math.gcd(r, p)
+        r = math.gcd(r, *(level[s] + 1 - level[t] for s, t, _ in internal))
     return r
 
 
@@ -493,10 +507,7 @@ def _semigroup_threshold(B, r) -> int:
     reach[0] = 1
     for s in range(1, limit + 1):
         reach[s] = any(s >= b and reach[s - b] for b in B)
-    worst = 0
-    for m in range(r, limit + 1 - lo, r):
-        if not reach[m]:
-            worst = m
+    worst = max((m for m in range(r, limit + 1 - lo, r) if not reach[m]), default=0)
     if any(not reach[m] for m in range(worst + r, worst + r + lo, r) if m <= limit):
         raise AssertionError("semigroup window not covered; limit too small")
     return worst + r if worst else 0
@@ -533,24 +544,12 @@ def _certified_threshold(A: FactorSet, r: int, nonconstant: bool,
     # shortest connectors around the cyclic chain alpha_1 ... alpha_j alpha_1
     total_connector = 0
     for i in range(len(alphas)):
-        src = aut.run(alphas[i])
         dst_word = alphas[(i + 1) % len(alphas)]
-        seen = {src}
-        frontier = [(src, 0)]
-        found = None
-        while frontier:
-            state, dist = frontier.pop(0)
-            if aut.run(dst_word, start=state) is not None:
-                found = dist
-                break
-            for c in aut.alphabet:
-                t = aut.step(state, c)
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    frontier.append((t, dist + 1))
-        if found is None:
+        dist = next((d for t, d in aut._bfs(aut._read(0, alphas[i]))
+                     if aut._read(t, dst_word) >= 0), None)
+        if dist is None:
             raise AssertionError("transitive language without a connector word")
-        total_connector += found
+        total_connector += dist
     return total_connector + sum(B) + _semigroup_threshold(B, r)
 
 

@@ -8,11 +8,8 @@ canonical forms.
 """
 
 import random
-import subprocess
-import sys
 import time
 from itertools import product
-from pathlib import Path
 
 from conftest import arc, b1, c3, p3, tt3
 
@@ -228,16 +225,3 @@ def test_criterion_8_overlap_blowup():
     report(8, 60, started, "2 copies of the 3-vertex path exhaust the "
                            "pigeonholes for the two-arc pattern")
 
-
-def test_criterion_9_property_suites_green():
-    started = time.monotonic()
-    here = Path(__file__).parent
-    files = ["test_graphs.py", "test_words.py", "test_search.py",
-             "test_duality.py", "test_holes.py", "test_properties.py",
-             "test_io_cli.py"]
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", *(str(here / f) for f in files)],
-        capture_output=True, text=True, cwd=here.parent)
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    report(9, 900, started, "module invariant and property suites green "
-                            "(fixed seeds, 10^4-case word properties)")

@@ -36,9 +36,9 @@ def test_invariants_reject_bad_values():
 P2 = make_path(2)
 
 #: every invalid input names its first offending item, in the set's
-#: iteration order, and checks run in the order listed: range, loop,
-#: symmetric pair; for orientations, non-edge arc, edge oriented twice,
-#: then missing edge
+#: iteration order, and checks run in the order listed: integer type,
+#: range, loop, symmetric pair; for orientations, non-edge arc, edge
+#: oriented twice, then missing edge
 BAD_VALUES = [
     (lambda: Graph(2, frozenset({(0, 3)})), "vertex 3 out of range [0, 2)"),
     (lambda: Graph(2, frozenset({(3, 0)})), "vertex 3 out of range [0, 2)"),
@@ -69,6 +69,15 @@ BAD_VALUES = [
     (lambda: Orientation(P2, frozenset({(0, 1), (1, 0)})), "edge (0, 1) oriented twice"),
     (lambda: Orientation(P2, frozenset({(0, 1), (1, 0), (2, 0)})), "edge (0, 1) oriented twice"),
     (lambda: Orientation(P2, frozenset({(1, 0), (2, 1), (1, 2)})), "edge (1, 2) oriented twice"),
+    (lambda: Digraph(3, frozenset({(0, 1.5)})), "vertex 1.5 of pair (0, 1.5) is not an integer"),
+    (lambda: Digraph(3, frozenset({(1.0, 2)})), "vertex 1.0 of pair (1.0, 2) is not an integer"),
+    (lambda: Digraph(3, [(0, 1), (True, 2)]), "vertex True of pair (True, 2) is not an integer"),
+    (lambda: Digraph(3, [(1.5, 9)]), "vertex 1.5 of pair (1.5, 9) is not an integer"),
+    (lambda: Digraph(3, [(0, 1), ("1", 2)]), "vertex '1' of pair ('1', 2) is not an integer"),
+    (lambda: Graph(3, [(0, True)]), "vertex True of pair (0, True) is not an integer"),
+    (lambda: Graph(3, [(0, 1), (2.5, 1)]), "vertex 2.5 of pair (1, 2.5) is not an integer"),
+    (lambda: OrientedGraph(3, [(0, 1), (1, False)]),
+     "vertex False of pair (1, False) is not an integer"),
 ]
 
 

@@ -85,7 +85,7 @@ def test_word_layer_is_pinned():
 
 
 def test_period_structure_makes_one_scc_pass_and_one_walk_pass(monkeypatch):
-    calls = dict.fromkeys(("_tarjan_sccs", "_closed_walks", "enumerate_periods"), 0)
+    calls = dict.fromkeys(("_kosaraju_sccs", "_closed_walks", "enumerate_periods"), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -100,4 +100,51 @@ def test_period_structure_makes_one_scc_pass_and_one_walk_pass(monkeypatch):
     assert is_transitive(A)
     for nc in (False, True):
         period_structure(A, nc)
-    assert calls == {"_tarjan_sccs": 1, "_closed_walks": 2, "enumerate_periods": 0}
+    assert calls == {"_kosaraju_sccs": 1, "_closed_walks": 2, "enumerate_periods": 0}
+
+
+def test_sccs_are_the_mutual_reachability_classes():
+    pool = all_small_factor_sets() + [FactorSet(frozenset({">" * L, "<" * L}))
+                                      for L in range(2, 11)]
+    for A in pool:
+        aut = words.automaton(A)
+        reach = {s: aut.reachable_from(s) for s in aut.states}
+        classes = {frozenset(t for t in reach[s] if s in reach[t]) for s in aut.states}
+        sccs = [frozenset(aut.states[i] for i in comp) for comp in aut._sccs]
+        assert len(sccs) == len(classes) and set(sccs) == classes, sorted(A.members)
+
+
+def test_automaton_answers_outside_its_states_and_alphabet():
+    aut = words.automaton(FactorSet(frozenset({">>", "<<"})))
+    for s in aut.states:
+        for letter in ("x", "", "><", None):
+            assert aut.step(s, letter) is None
+        assert aut.run(">x<", start=s) is None
+    assert not aut.accepts(">x")
+    for other in ("x", ">>", "><>", "<<<"):
+        assert aut.step(other, ">") is None and aut.step(other, "<") is None
+        assert aut.run("><", start=other) is None
+        assert aut.run("", start=other) == other
+        assert aut.reachable_from(other) == {other}
+    assert aut.reachable_from("") == {"", ">", "<"}
+
+
+def test_automaton_stops_at_the_state_limit(monkeypatch):
+    with pytest.raises(ValueError, match="exceeds 65536 states"):
+        words.FactorAutomaton(FactorSet(frozenset({">" * 11 + "<" * 11})))
+    # {>^3, <^3} has 7 states: it fits a limit of 7, not one of 6
+    A = FactorSet(frozenset({">>>", "<<<"}))
+    monkeypatch.setattr(words, "STATE_LIMIT", 7)
+    assert len(words.FactorAutomaton(A).states) == 7
+    monkeypatch.setattr(words, "STATE_LIMIT", 6)
+    with pytest.raises(ValueError, match="exceeds 6 states"):
+        words.FactorAutomaton(A)
+
+
+def test_cli_lang_periods_over_the_state_limit_is_one_error_line(tmp_path):
+    f = tmp_path / "A.txt"
+    f.write_text(">" * 11 + "<" * 11 + "\n")
+    status, out = run(["lang", "periods", "-A", str(f), "--kmax", "3"])
+    assert status == 1
+    assert out == ("error: the factor automaton exceeds 65536 states "
+                   "(longest forbidden factor: 22 letters)")
