@@ -11,8 +11,8 @@ duality-pair verification rounds out the set.
 __version__ = "0.1.0"
 
 from .graphs import (
-    Digraph, Graph, Orientation, OrientedGraph, canonical_form, complete_graph,
-    connected_components, contains_induced, coupling, directed_cycle,
+    Digraph, Graph, Orientation, OrientedGraph, WorkBudgetExceeded, canonical_form,
+    complete_graph, connected_components, contains_induced, coupling, directed_cycle,
     directed_path, disjoint_union, enumerate_digraphs, enumerate_graphs, girth,
     graph_union, graphs_isomorphic, induced_subdigraph, induced_subgraph,
     is_acyclic, is_isomorphic, make_cycle, make_path, orientations_of,
@@ -26,7 +26,7 @@ from .words import (
 )
 from .search import (
     DEFAULT_BUDGET, ForbiddenSet, MultiplesReport, OrientationVerdict,
-    ReduceReport, SearchMode, WorkBudgetExceeded, admits_orientation,
+    ReduceReport, SearchMode, admits_orientation,
     bridge_bound, cycle_spectrum, homomorphic_image_closure,
     multiples_property_check, oracle_chordal, oracle_k_colourable,
     overlap_contains, reduce_to_connected, verify_orientation,

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graphs import (
-    Digraph, _bits, connected_components, enumerate_digraphs, induced_subdigraph,
-    is_isomorphic, underlying,
+    Digraph, WorkBudgetExceeded, _embed, connected_components, enumerate_digraphs,
+    induced_subdigraph, is_isomorphic, underlying,
 )
-from .search import WorkBudgetExceeded
 
 HOM_BUDGET = 10_000_000
 CORE_LIMIT = 8
@@ -45,76 +44,19 @@ def hom_exists(d1: Digraph, d2: Digraph,
                budget: int = HOM_BUDGET) -> HomWitness | None:
     """First homomorphism d1 -> d2 in deterministic order, or None.
 
-    Backtracking over d1's vertices (decreasing degree), target values
-    ascending.  Each domain is a bitmask over d2's vertices; assigning v to
-    w narrows every unassigned neighbour's domain to w's out- or
-    in-neighbours, so a value still in a domain agrees with every assigned
-    neighbour and needs no further check.
+    One run of graphs._embed: d1's vertices in decreasing degree order,
+    target values ascending.  Placing v at w narrows each later neighbour's
+    domain to w's out- or in-neighbours (d1._hom_checks into d2._hom_host),
+    so a value left in a domain agrees with every placed neighbour.  Each
+    value tried counts against budget.
     """
-    if d1.n == 0:
-        return HomWitness(())
-    if d2.n == 0:
+    try:
+        images = _embed(d2._hom_host, d1._hom_checks, [(1 << d2.n) - 1] * d1.n, budget)
+    except WorkBudgetExceeded:
+        raise WorkBudgetExceeded(f"hom search exceeded {budget} nodes") from None
+    if images is None:
         return None
-    order = d1._order
-    domains = [(1 << d2.n) - 1] * d1.n
-    mapping = [None] * d1.n
-    work = 0
-
-    out1, in1, nbr1 = d1._adj
-    out2, in2, _ = d2._adj
-    nbr1 = [_bits(mask) for mask in nbr1]
-
-    def prune(v, w):
-        """Narrow the unassigned neighbours' domains against v -> w."""
-        removed = []
-        for x in nbr1[v]:
-            if mapping[x] is not None:
-                continue
-            dom = domains[x]
-            if out1[v] >> x & 1:
-                dom &= out2[w]
-            if in1[v] >> x & 1:
-                dom &= in2[w]
-            if dom != domains[x]:
-                removed.append((x, domains[x]))
-                domains[x] = dom
-            if not dom:
-                return removed, True
-        return removed, False
-
-    def restore(removed):
-        for x, dom in removed:
-            domains[x] = dom
-
-    # an explicit stack, so long sources fit: one frame per vertex in order,
-    # holding the mask of its domain values not yet tried and the pruning of
-    # its value
-    frames = [[domains[order[0]], ()]]
-    while frames:
-        frame = frames[-1]
-        v = order[len(frames) - 1]
-        restore(frame[1])
-        while frame[0]:
-            low = frame[0] & -frame[0]
-            frame[0] ^= low
-            w = low.bit_length() - 1
-            work += 1
-            if work > budget:
-                raise WorkBudgetExceeded(f"hom search exceeded {budget} nodes")
-            mapping[v] = w
-            removed, wiped = prune(v, w)
-            if not wiped:
-                frame[1] = removed
-                break
-            restore(removed)
-        else:
-            mapping[v] = None
-            frames.pop()
-            continue
-        if len(frames) == d1.n:
-            return HomWitness(tuple(mapping))
-        frames.append([domains[order[len(frames)]], ()])
-    return None
+    return HomWitness(tuple(w for _, w in sorted(zip(d1._order, images))))
 
 
 def is_hom_equivalent(d1: Digraph, d2: Digraph) -> bool:

@@ -5,8 +5,9 @@ frozen values, so results can be cached and shared between threads.
 The module also provides the small-universe isomorphism machinery
 (canonical forms, and isomorphism classes enumerated by orderly
 generation, one orbit-minimum representative each) that the rest of the
-package uses as its brute-force substrate.  It needs only the standard
-library.
+package uses as its brute-force substrate, and _embed, the one backtracking
+kernel: containment, the orientation search and homomorphisms all run on
+it.  It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ CANON_LIMIT = 8
 #: beyond CANON_LIMIT, proceed only if colour refinement leaves at most
 #: this many class-respecting permutations to scan
 CANON_PERM_BUDGET = 1_000_000
+
+
+class WorkBudgetExceeded(RuntimeError):
+    """Raised when a search runs out of its node budget; never a silent False."""
 
 
 def _check_pairs(pairs, n):
@@ -71,7 +76,11 @@ class Graph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        edges = frozenset((u, v) if u <= v else (v, u) for u, v in self.edges)
+        try:
+            edges = frozenset((u, v) if u <= v else (v, u) for u, v in self.edges)
+        except TypeError:  # ends that do not compare are not both integers
+            _check_pairs(self.edges, self.n)
+            raise
         object.__setattr__(self, "edges", edges)
         _check_pairs(edges, self.n)
 
@@ -127,12 +136,20 @@ class Digraph:
                             key=lambda v: (-out[v].bit_count() - inn[v].bit_count(), v)))
 
     @cached_property
-    def _rel(self):
-        """rel[x][y], the relation from x to y, as _embed numbers it: 0 no arc,
-        1 x -> y only, 2 y -> x only, 3 a digon."""
+    def _checks(self):
+        """_embed's checks for placing self in _order as a pattern."""
+        return _placement_checks(self, self._order)
+
+    @cached_property
+    def _hom_checks(self):
+        """_embed's checks for placing self in _order as a hom source."""
+        return _placement_checks(self, self._order, every=False)
+
+    @cached_property
+    def _hom_host(self):
+        """_embed's host for homs into self: in, out and digon masks as relations 1-3."""
         out, inn, _ = self._adj
-        return tuple(tuple((out[x] >> y & 1) | (inn[x] >> y & 1) << 1 for y in range(self.n))
-                     for x in range(self.n))
+        return None, inn, out, tuple(map(int.__and__, out, inn))
 
     def has_arc(self, u, v):
         return (u, v) in self.arcs
@@ -176,10 +193,13 @@ class Orientation:
         object.__setattr__(self, "arcs", arcs)
         edges = self.base.edges
         # the arcs orient every edge once iff they are as many and cover them
-        if len(arcs) == len(edges) and {(u, v) if u <= v else (v, u) for u, v in arcs} == edges:
+        if len(arcs) == len(edges) and {(u, v) if u <= v else (v, u) for u, v in arcs
+                                        if type(u) is int is type(v)} == edges:
             return
         seen = set()
         for u, v in arcs:
+            if type(u) is not int or type(v) is not int:
+                _check_pairs(((u, v),), self.base.n)
             e = (min(u, v), max(u, v))
             if e not in edges:
                 raise ValueError(f"arc {(u, v)} is not an edge of the base graph")
@@ -336,32 +356,67 @@ def _non_adjacent(nbr):
     return [full & ~m & ~(1 << b) for b, m in enumerate(nbr)]
 
 
-def _embed(host, order, rel, allowed):
-    """First induced embedding placing the vertices in order, or None.
-
-    host[r][b] holds the host vertices standing to b in relation r, as
-    rel numbers them; an edge whose direction is not yet decided stands
-    in none.  order[i] goes to the smallest vertex in allowed[order[i]]
-    that stands to every image already placed as the pattern asks, and
-    a dead end backtracks.  Returns the map as a dict in placement order.
+def _placement_checks(d: Digraph, order, every=True):
+    """_embed's checks for placing d's vertices in order: per position i, the
+    pairs (j, r) of a later position j and the relation r from order[j] to
+    order[i] (0 none, 1 an arc into order[i] only, 2 out of it only, 3 both).
+    every takes all later positions, as containment needs; otherwise only
+    adjacent ones, so a sparse hom source costs time linear in its arcs.
     """
-    images, cands = [], []      # per placed vertex: its image, candidates left
-    while len(images) < len(order):
-        x = order[len(images)]
-        m = allowed[x]
-        for y, b in zip(order, images):
-            m &= host[rel[x][y]][b]
-        images.append(None)
-        cands.append(m)
-        while not cands[-1]:
-            images.pop()
-            cands.pop()
-            if not cands:
+    out, inn, nbr = d._adj
+    pos = [0] * d.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    return tuple(tuple((pos[x], (inn[y] >> x & 1) | (out[y] >> x & 1) << 1)
+                       for x in (order[i + 1:] if every else _bits(nbr[y])) if pos[x] > i)
+                 for i, y in enumerate(order))
+
+
+def _embed(host, checks, domains, budget=math.inf):
+    """Images of the placement positions in the first map found, or None.
+
+    domains[i], narrowed in place, masks the host vertices position i may
+    take.  Values are tried ascending; placing position i at w narrows each
+    later domain j, for (j, r) in checks[i], to host[r][w], the vertices
+    standing to w in relation r as _placement_checks numbers it.  A value
+    that empties a domain has no completion and is rejected (forward
+    checking: Haralick and Elliott, AIJ 14, 1980), so the map is the first
+    in placement order.  Each value tried is one unit of work; past budget,
+    WorkBudgetExceeded.
+    """
+    if not domains:
+        return []
+    images, stack = [], []      # per placed position: image; (values left, old domains)
+    m, work = domains[0], 0
+    while True:
+        if not m:                           # exhausted: take back the last placement
+            if not images:
                 return None
-        low = cands[-1] & -cands[-1]
-        cands[-1] ^= low
-        images[-1] = low.bit_length() - 1
-    return dict(zip(order, images))
+            images.pop()
+            m, old = stack.pop()
+            for (j, _), d in zip(checks[len(images)], old):
+                domains[j] = d
+            continue
+        low = m & -m
+        m ^= low
+        work += 1
+        if work > budget:
+            raise WorkBudgetExceeded(f"search exceeded {budget} nodes")
+        w = low.bit_length() - 1
+        row = checks[len(images)]
+        for j, r in row:
+            if not domains[j] & host[r][w]:
+                break
+        else:
+            images.append(w)
+            if len(images) == len(domains):
+                return images
+            old = []
+            for j, r in row:
+                old.append(domains[j])
+                domains[j] &= host[r][w]
+            stack.append((m, old))
+            m = domains[len(images)]
 
 
 def contains_induced(h: Digraph, d: Digraph):
@@ -377,7 +432,9 @@ def contains_induced(h: Digraph, d: Digraph):
     out, inn, nbr = d._adj
     host = (_non_adjacent(nbr), [i & ~o for o, i in zip(out, inn)],
             [o & ~i for o, i in zip(out, inn)], [o & i for o, i in zip(out, inn)])
-    return _embed(host, h._order, h._rel, _allowed(h, nbr))
+    allowed = _allowed(h, nbr)
+    images = _embed(host, h._checks, [allowed[x] for x in h._order])
+    return None if images is None else dict(zip(h._order, images))
 
 
 def is_acyclic(d: Digraph) -> bool:

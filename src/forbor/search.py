@@ -3,7 +3,8 @@
 The decision procedure orients edges one at a time (most-constrained edge
 first) and tests, after each assignment, only pattern embeddings that are
 fully decided and pass through the fresh edge, so the 2^|E| tree stays
-heavily pruned: the graphs module's embedding kernel runs on the partial
+heavily pruned: the graphs module's forward-checking kernel, the one that
+also decides containment and homomorphisms, runs on the partial
 orientation with pattern vertices pinned to the fresh arc's ends, and
 outside hom mode each pattern vertex may land only on graph vertices of at
 least its degree (the filter contains_induced applies).  The search keeps
@@ -20,20 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .duality import hom_exists
 from .graphs import (
-    Graph, OrientedGraph, Orientation, _allowed, _closure, _embed, _non_adjacent,
-    canonical_form, connected_components, contains_induced, enumerate_graphs,
-    induced_subdigraph, is_acyclic, make_cycle,
+    Graph, OrientedGraph, Orientation, WorkBudgetExceeded, _allowed, _closure, _embed,
+    _non_adjacent, _placement_checks, canonical_form, connected_components,
+    contains_induced, enumerate_graphs, induced_subdigraph, is_acyclic, make_cycle,
 )
 from .words import enumerate_periods, forbidden_factor_set
 
 DEFAULT_BUDGET = 10_000_000
 
 CONTAINMENTS = ("induced", "hom", "overlap")
-
-
-class WorkBudgetExceeded(RuntimeError):
-    """Raised when a search runs out of its node budget; never a silent False."""
 
 
 @dataclass(frozen=True)
@@ -159,16 +157,17 @@ def _components_of(h: OrientedGraph):
 
 
 def _prepare(h: OrientedGraph, g: Graph, hom: bool):
-    """h ready for _embeds_through on g: (order, rel, allowed, pins).
-
-    pins: the vertex pairs (x, y) of h that may land on a fresh arc u -> v,
-    each with its placement order; induced, h's arcs x -> y; hom, every
-    ordered pair without an arc y -> x.  allowed is graphs._allowed's
-    degree filter on g, shared with contains_induced, since an orientation
-    keeps g's degrees.  A hom may fold h anywhere, so hom mode has no
-    degree filter, and its host's relation 0 holds every vertex
-    not joined to b by an undecided edge, b included: the kernel runs
-    non-injectively, and each image it finds spans no undecided edge.
+    """h's pins for _embeds_through on g: the vertex pairs (x, y) that may
+    land on a fresh arc u -> v; induced, h's arcs x -> y; hom, every ordered
+    pair without an arc y -> x.  A pin holds the domains of x and y, the
+    _embed checks (every later position: relation 0 constrains too) for
+    placing x, y, then the rest of h._order, and the rest's domains.  The
+    domains are graphs._allowed's degree filter on g, shared with
+    contains_induced, since an orientation keeps g's degrees.  A hom may
+    fold h anywhere, so hom mode has no degree filter, and its host's
+    relation 0 holds every vertex not joined to b by an undecided edge, b
+    included: the kernel runs non-injectively, and each image it finds
+    spans no undecided edge.
 
     Lemma: an oriented graph contains an induced member of
     homomorphic_image_closure(F) iff some h in F maps into it, since the
@@ -176,22 +175,23 @@ def _prepare(h: OrientedGraph, g: Graph, hom: bool):
     closure member is a hom image.  So hom mode decides the closure
     predicate on F itself, without building the closure.
     """
-    order, rel = h._order, h._rel
+    order, out = h._order, h._adj[0]
     allowed = [(1 << g.n) - 1] * h.n if hom else _allowed(h, g._nbr)
-    pins = [(x, y, [x, y] + [z for z in order if z != x and z != y])
-            for x in order for y in order
-            if rel[x][y] == 1 or hom and x != y and rel[x][y] == 0]
-    return order, rel, allowed, pins
+    pins = []
+    for x in order:
+        for y in order:
+            if out[x] >> y & 1 or hom and x != y and not out[y] >> x & 1:
+                rest = [z for z in order if z != x and z != y]
+                pins.append((allowed[x], allowed[y], _placement_checks(h, [x, y, *rest]),
+                             [allowed[z] for z in rest]))
+    return pins
 
 
-def _embeds_through(pattern, host, u, v):
+def _embeds_through(pins, host, u, v):
     """Does the pattern land, fully decided, with a pinned pair on u -> v?"""
-    _, rel, allowed, pins = pattern
-    for x, y, placing in pins:
-        if allowed[x] >> u & 1 and allowed[y] >> v & 1:
-            pinned = list(allowed)
-            pinned[x], pinned[y] = 1 << u, 1 << v
-            if _embed(host, placing, rel, pinned) is not None:
+    for ax, ay, checks, rest in pins:
+        if ax >> u & 1 and ay >> v & 1:
+            if _embed(host, checks, [1 << u, 1 << v, *rest]) is not None:
                 return True
     return False
 
@@ -202,7 +202,6 @@ def verify_orientation(o: Orientation, F: ForbiddenSet, mode: SearchMode) -> boo
     if mode.acyclic and not is_acyclic(d):
         return False
     if mode.containment == "hom":
-        from .duality import hom_exists  # duality imports this module
         return not any(hom_exists(h, d) is not None for h in F.members)
     if mode.containment == "overlap":
         return not any(overlap_contains(h, d) for h in F.members)
@@ -233,12 +232,13 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
     host = (free if hom else _non_adjacent(g._nbr), inn, out)
     work = 0
 
-    # components with no arcs embed without any decided edge; their truth
-    # never changes, and a pattern made entirely of them fails immediately
+    # components with no arcs embed without any decided edge, on vertices
+    # of any degree; their truth never changes, and a pattern made entirely
+    # of them fails immediately
     flag_state = []
-    for comps, preps in zip(patterns, prepared):
-        flags = [not c.arcs and _embed(host, *p[:3]) is not None
-                 for c, p in zip(comps, preps)]
+    for comps in patterns:
+        flags = [not c.arcs and _embed(host, c._checks, [(1 << g.n) - 1] * c.n) is not None
+                 for c in comps]
         if all(flags):
             return OrientationVerdict(False, None, work)
         flag_state.append(flags)

@@ -3,6 +3,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import forbor
 from conftest import arc, c3, first_hom_oracle, p3, tt3
 
 from forbor import (
@@ -46,6 +47,14 @@ def test_hom_exists_on_long_source():
     src, dst = directed_path(1500), directed_cycle(3)
     w = hom_exists(src, dst)
     assert w is not None and w.verify(src, dst)
+    # a sparse source gets one check per arc, never a table of all pairs
+    src = directed_path(3000)
+    w = hom_exists(src, dst)
+    assert w is not None and w.verify(src, dst)
+    assert sum(map(len, src._hom_checks)) == len(src.arcs)
+    src, dst = directed_path(1100), transitive_tournament(1101)
+    w = hom_exists(src, dst)
+    assert w is not None and w.verify(src, dst)
 
 
 def test_hom_budget():
@@ -53,6 +62,7 @@ def test_hom_budget():
     big2 = transitive_tournament(5)
     with pytest.raises(WorkBudgetExceeded):
         hom_exists(big1, big2, budget=3)
+    assert forbor.WorkBudgetExceeded is forbor.graphs.WorkBudgetExceeded
 
 
 def test_hom_exists_first_map_matches_oracle():

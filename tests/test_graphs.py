@@ -78,6 +78,12 @@ BAD_VALUES = [
     (lambda: Graph(3, [(0, 1), (2.5, 1)]), "vertex 2.5 of pair (1, 2.5) is not an integer"),
     (lambda: OrientedGraph(3, [(0, 1), (1, False)]),
      "vertex False of pair (1, False) is not an integer"),
+    (lambda: Graph(3, [(0, 'a')]), "vertex 'a' of pair (0, 'a') is not an integer"),
+    (lambda: Orientation(P2, [(0, 1.0), (True, 2)]),
+     "vertex 1.0 of pair (0, 1.0) is not an integer"),
+    (lambda: Orientation(P2, [(0, 1), (2, True)]),
+     "vertex True of pair (2, True) is not an integer"),
+    (lambda: Orientation(P2, [(1, 0), ('2', 1)]), "vertex '2' of pair ('2', 1) is not an integer"),
 ]
 
 

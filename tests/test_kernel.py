@@ -1,7 +1,9 @@
-"""Gates for the induced-embedding kernel shared by containment and search.
+"""Gates for graphs._embed, the one backtracking kernel: induced containment,
+every node of the orientation search and hom_exists all run on it.
 
 The golden values were produced by the backtrackers this kernel replaced:
 search order, witnesses and work counters must stay exactly as they were.
+hom_exists's first maps and work counts are gated in test_duality.py.
 """
 
 import json
