@@ -3,8 +3,10 @@
 Every subcommand reads the text formats from the io module and emits a
 stable JSON report {tool_version, subcommand, inputs_digest, result}
 (or a plain-text rendering with --format text).  Exit status: 0 computed,
-1 usage or format error, 2 work budget exceeded.  The CLI is fully
-deterministic; all randomized property testing lives in the test suite.
+1 usage or format error, 2 work budget exceeded.  A reader that closes the
+output early (`| head`) gets exit status 1 and no traceback.  The CLI is
+fully deterministic; all randomized property testing lives in the test
+suite.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import warnings
 from functools import cache
@@ -338,8 +341,15 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         status, output = run(sys.argv[1:] if argv is None else argv)
     stream = sys.stderr if status else sys.stdout
-    if output:
-        print(output, file=stream)
+    try:
+        if output:
+            print(output, file=stream)
+            stream.flush()
+    except BrokenPipeError:
+        # the reader is gone: point the stream at devnull, so that the
+        # interpreter's flush at exit finds nothing to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return 1
     return status
 
 

@@ -367,9 +367,16 @@ def _placement_checks(d: Digraph, order, every=True):
     pos = [0] * d.n
     for i, v in enumerate(order):
         pos[v] = i
-    return tuple(tuple((pos[x], (inn[y] >> x & 1) | (out[y] >> x & 1) << 1)
+    return tuple(tuple(_pair(pos[x], (inn[y] >> x & 1) | (out[y] >> x & 1) << 1)
                        for x in (order[i + 1:] if every else _bits(nbr[y])) if pos[x] > i)
                  for i, y in enumerate(order))
+
+
+@lru_cache(maxsize=None)
+def _pair(j, r):
+    """One shared (j, r) tuple per check, so check tables hold only references
+    (at most four pairs per position of the largest digraph placed)."""
+    return j, r
 
 
 def _embed(host, checks, domains, budget=math.inf):

@@ -1,19 +1,20 @@
 """Deciding whether a graph admits an orientation avoiding forbidden patterns.
 
 The decision procedure orients edges one at a time (most-constrained edge
-first) and tests, after each assignment, only pattern embeddings that are
-fully decided and pass through the fresh edge, so the 2^|E| tree stays
-heavily pruned: the graphs module's forward-checking kernel, the one that
-also decides containment and homomorphisms, runs on the partial
-orientation with pattern vertices pinned to the fresh arc's ends, and
-outside hom mode each pattern vertex may land only on graph vertices of at
-least its degree (the filter contains_induced applies).  The search keeps
-its own stack, clear of Python's recursion limit.  Three containment
-semantics are supported: induced (forbid induced subdigraphs), hom
-(forbid homomorphic images: the same kernel, run non-injectively on the
-members themselves, see _prepare) and overlap (forbid component-wise
-induced embeddings, images may overlap).  An acyclic flag also rejects
-each directed cycle as it closes.
+first) and tests, after each assignment, only maps that send a pattern arc
+onto the fresh arc, so the 2^|E| tree stays heavily pruned: the graphs
+module's forward-checking kernel, the one that also decides containment
+and homomorphisms, runs on the partial orientation with the arc's ends
+pinned, and outside hom mode each pattern vertex may land only on graph
+vertices of at least its degree (the filter contains_induced applies).
+A component found stays flagged until the fresh arc is taken back, and a
+member is hit once all its components are.  The search keeps its own
+stack, clear of Python's recursion limit.  Three containment semantics
+are supported: induced (forbid induced subdigraphs; a member is one
+pattern), hom (forbid homomorphic images: the same kernel, run
+non-injectively on each component of a member, see _prepare) and overlap
+(forbid component-wise induced embeddings, images may overlap).  An
+acyclic flag also rejects each directed cycle as it closes.
 """
 
 from __future__ import annotations
@@ -157,32 +158,29 @@ def _components_of(h: OrientedGraph):
 
 
 def _prepare(h: OrientedGraph, g: Graph, hom: bool):
-    """h's pins for _embeds_through on g: the vertex pairs (x, y) that may
-    land on a fresh arc u -> v; induced, h's arcs x -> y; hom, every ordered
-    pair without an arc y -> x.  A pin holds the domains of x and y, the
-    _embed checks (every later position: relation 0 constrains too) for
-    placing x, y, then the rest of h._order, and the rest's domains.  The
-    domains are graphs._allowed's degree filter on g, shared with
-    contains_induced, since an orientation keeps g's degrees.  A hom may
-    fold h anywhere, so hom mode has no degree filter, and its host's
-    relation 0 holds every vertex not joined to b by an undecided edge, b
-    included: the kernel runs non-injectively, and each image it finds
-    spans no undecided edge.
+    """h's pins for _embeds_through on g: one per arc x -> y of h, which may
+    land on a fresh arc u -> v.  A pin holds the domains of x and y, the
+    _embed checks for placing x, y, then the rest of h._order, and the
+    rest's domains.  Containment checks every later position (relation 0
+    constrains too), and its domains are graphs._allowed's degree filter on
+    g, shared with contains_induced, since an orientation keeps g's
+    degrees.  A hom may fold h anywhere, so hom mode checks adjacent
+    positions only, as hom_exists does, with no degree filter.
 
-    Lemma: an oriented graph contains an induced member of
-    homomorphic_image_closure(F) iff some h in F maps into it, since the
-    subdigraph induced on a hom's image is a closure member and each
-    closure member is a hom image.  So hom mode decides the closure
-    predicate on F itself, without building the closure.
+    Hom mode may prune as soon as h maps into the decided arcs: such a map
+    stays a map in every completion, and a map that is new once u -> v is
+    decided sends some arc of h onto u -> v.  At a leaf nothing is
+    undecided, so the leaf's test is hom_exists on the orientation.
     """
     order, out = h._order, h._adj[0]
     allowed = [(1 << g.n) - 1] * h.n if hom else _allowed(h, g._nbr)
     pins = []
     for x in order:
         for y in order:
-            if out[x] >> y & 1 or hom and x != y and not out[y] >> x & 1:
+            if out[x] >> y & 1:
                 rest = [z for z in order if z != x and z != y]
-                pins.append((allowed[x], allowed[y], _placement_checks(h, [x, y, *rest]),
+                pins.append((allowed[x], allowed[y],
+                             _placement_checks(h, [x, y, *rest], every=not hom),
                              [allowed[z] for z in rest]))
     return pins
 
@@ -217,19 +215,20 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
     once more than `budget` direction assignments have been tried.
     """
     hom = mode.containment == "hom"
-    overlap = mode.containment == "overlap"
-    patterns = [_components_of(h) if overlap else (h,) for h in F.members]
+    # an induced member embeds whole; a hom or overlap member embeds once
+    # each of its components does, the images free to overlap
+    patterns = [(h,) if mode.containment == "induced" else _components_of(h)
+                for h in F.members]
     prepared = [[_prepare(c, g, hom) for c in comps] for comps in patterns]
 
     edges = g.sorted_edges()
     arcdir = {}
     # decided arcs as per-vertex masks; the host, in the kernel's relation
-    # order, shares the in and out lists, so it sees the partial orientation.
-    # free[b]: the vertices not joined to b by an undecided edge, b included
+    # order, shares the in and out lists, so it sees the partial orientation
+    # (hom checks never read relation 0)
     out = [0] * g.n
     inn = [0] * g.n
-    free = [~m & (1 << g.n) - 1 for m in g._nbr]
-    host = (free if hom else _non_adjacent(g._nbr), inn, out)
+    host = (_non_adjacent(g._nbr), inn, out)
     work = 0
 
     # components with no arcs embed without any decided edge, on vertices
@@ -244,17 +243,16 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
         flag_state.append(flags)
 
     def violated(u, v):
-        if overlap:
-            trail = []
-            for pi, (comps, preps) in enumerate(zip(patterns, prepared)):
-                for ci, (c, p) in enumerate(zip(comps, preps)):
-                    if not flag_state[pi][ci] and _embeds_through(p, host, u, v):
-                        flag_state[pi][ci] = True
-                        trail.append((pi, ci))
-                if all(flag_state[pi]):
-                    return True, trail
-            return False, trail
-        return any(_embeds_through(preps[0], host, u, v) for preps in prepared), ()
+        # a component's flag, once set, holds until u -> v is taken back
+        trail = []
+        for flags, preps in zip(flag_state, prepared):
+            for ci, p in enumerate(preps):
+                if not flags[ci] and _embeds_through(p, host, u, v):
+                    flags[ci] = True
+                    trail.append((flags, ci))
+            if all(flags):
+                return True, trail
+        return False, trail
 
     def choose_edge():
         # the undecided edge with the most decided edges at its ends
@@ -269,8 +267,6 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
     def toggle(u, v):
         out[u] ^= 1 << v
         inn[v] ^= 1 << u
-        free[u] ^= 1 << v
-        free[v] ^= 1 << u
 
     # depth first over edge directions, one frame per edge: the edge (None
     # once all are decided), the directions tried and the flags the last set
@@ -284,8 +280,8 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
                 raise AssertionError("witness failed independent re-verification")
             return OrientationVerdict(True, witness, work)
         if e in arcdir:
-            for pi, ci in trail:
-                flag_state[pi][ci] = False
+            for flags, ci in trail:
+                flags[ci] = False
             toggle(*arcdir.pop(e))
         if tried == 2:
             stack.pop()

@@ -287,13 +287,16 @@ def test_cli_reports_identical_across_hash_seeds(tmp_path):
     import subprocess
     import sys
 
+    import forbor
+
     forb = tmp_path / "bip.forb"
     forb.write_text(BIP_FORB)
     spec = tmp_path / "odd.spec"
     spec.write_text("variant=odd_tail M=5\n")
+    src = os.path.dirname(os.path.dirname(forbor.__file__))
     outputs = set()
     for seed in ("0", "1", "77"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         blob = b""
         for argv in (["spectrum", "-F", str(forb), "--range", "4..12"],
                      ["holes", "analyze", "-spec", str(spec)]):
@@ -302,6 +305,30 @@ def test_cli_reports_identical_across_hash_seeds(tmp_path):
                 capture_output=True, env=env, check=True).stdout
         outputs.add(blob)
     assert len(outputs) == 1
+
+
+def test_cli_closed_stdout_exits_without_traceback(tmp_path):
+    # the pipe's read end is closed before the child starts, so the report's
+    # first write fails, as under `| head -c 10` with a long report
+    import os
+    import subprocess
+    import sys
+
+    import forbor
+
+    f = tmp_path / "A.txt"
+    f.write_text(">>\n<<\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(forbor.__file__)))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "forbor.cli", "lang", "periods", "-A", str(f), "--kmax", "2000"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -214,10 +214,12 @@ def test_overlap_free_implies_plain_free_for_connected():
 
 
 def test_hom_free_equals_induced_free_under_closure():
-    # the hom search decides the closure predicate on F itself: the whole
-    # verdict (admits, work, witness) equals the induced search on the image
-    # closure, on every graph up to 5 vertices; and orientation-level, on
-    # every orientation of every graph up to 4 vertices
+    # the hom search decides the closure predicate on F itself: admits and
+    # witness equal the induced search on the image closure, on every graph
+    # up to 5 vertices; and orientation-level, on every orientation of every
+    # graph up to 4 vertices.  Hom mode prunes as soon as a member maps into
+    # the decided arcs, before an image is induced, so its work is never
+    # higher, and lower in sum on the directed paths
     K1 = OrientedGraph(1)
     for F0 in (ForbiddenSet((p3(),)), ForbiddenSet((p4(),)),
                ForbiddenSet((tt3(), p4())),
@@ -225,6 +227,7 @@ def test_hom_free_equals_induced_free_under_closure():
                ForbiddenSet((OrientedGraph(2),)), ForbiddenSet((disjoint_union(arc(), K1),)),
                ForbiddenSet((c3(),))):
         closed = homomorphic_image_closure(F0)
+        hom_work = ind_work = 0
         for ac in (False, True):
             hom, ind = SearchMode("hom", ac), SearchMode("induced", ac)
             for n in range(1, 5):
@@ -239,17 +242,32 @@ def test_hom_free_equals_induced_free_under_closure():
                 for g in enumerate_graphs(n):
                     a = admits_orientation(g, F0, hom)
                     b = admits_orientation(g, closed, ind)
-                    assert (a.admits, a.work) == (b.admits, b.work), (F0, ac, g)
+                    assert a.admits == b.admits and a.work <= b.work, (F0, ac, g)
                     assert (a.witness and sorted(a.witness.arcs)) == \
                         (b.witness and sorted(b.witness.arcs)), (F0, ac, g)
+                    hom_work += a.work
+                    ind_work += b.work
+        if F0 in (ForbiddenSet((p3(),)), ForbiddenSet((p4(),))):
+            assert hom_work < ind_work, F0
 
 
 def test_four_colourable_through_directed_five_path():
-    # the closure of the directed path on 5 vertices is never built
-    F = ForbiddenSet((directed_path(4),))
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            assert admits_orientation(g, F, HOM).admits == oracle_k_colourable(g, 4)
+    # the directed path on k+1 vertices forbids exactly the graphs that are
+    # not k-colourable; its closure is never built.  The node counts pin
+    # hom mode's pruning, summed over the graphs on at most 6 vertices: an
+    # orientation with a directed cycle maps every directed path, so the
+    # acyclic flag prunes nothing more
+    graphs = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    assert len(graphs) == 208
+    for k, nodes in ((2, 2930), (3, 7825), (4, 6361)):
+        F = ForbiddenSet((directed_path(k),))
+        for ac in (False, True):
+            work = 0
+            for g in graphs:
+                v = admits_orientation(g, F, SearchMode("hom", ac))
+                assert v.admits == oracle_k_colourable(g, k)
+                work += v.work
+            assert work == nodes, (k, ac)
 
 
 def test_rghv_and_chordal_on_small_graphs():
