@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .graphs import (
     Digraph, WorkBudgetExceeded, _embed, connected_components, enumerate_digraphs,
-    induced_subdigraph, is_isomorphic, underlying,
+    induced_subdigraph, is_isomorphic,
 )
 
 HOM_BUDGET = 10_000_000
@@ -50,13 +50,19 @@ def hom_exists(d1: Digraph, d2: Digraph,
     so a value left in a domain agrees with every placed neighbour.  Each
     value tried counts against budget.
     """
-    try:
-        images = _embed(d2._hom_host, d1._hom_checks, [(1 << d2.n) - 1] * d1.n, budget)
-    except WorkBudgetExceeded:
-        raise WorkBudgetExceeded(f"hom search exceeded {budget} nodes") from None
+    images = _hom_images(d1, d2, (1 << d2.n) - 1, budget)
     if images is None:
         return None
     return HomWitness(tuple(w for _, w in sorted(zip(d1._order, images))))
+
+
+def _hom_images(d1, d2, domain, budget):
+    """_embed's images for the first hom d1 -> d2 with every image in the
+    vertex mask domain, or None."""
+    try:
+        return _embed(d2._hom_host, d1._hom_checks, [domain] * d1.n, budget)
+    except WorkBudgetExceeded:
+        raise WorkBudgetExceeded(f"hom search exceeded {budget} nodes") from None
 
 
 def is_hom_equivalent(d1: Digraph, d2: Digraph) -> bool:
@@ -66,6 +72,9 @@ def is_hom_equivalent(d1: Digraph, d2: Digraph) -> bool:
 def core_of(d: Digraph, limit: int = CORE_LIMIT) -> Digraph:
     """Minimum-order induced subdigraph hom-equivalent to d.
 
+    d maps into d[S] exactly when some self-map of d has every image in S,
+    so each vertex set S is one hom search into d itself, trying values in
+    hom_exists(d, d[S])'s order; d[S] is built only for the sets that pass.
     All minimum candidates are compared pairwise to confirm the core is
     unique up to isomorphism before one is returned.
     """
@@ -74,11 +83,8 @@ def core_of(d: Digraph, limit: int = CORE_LIMIT) -> Digraph:
     if d.n == 0:
         return d
     for size in range(1, d.n + 1):
-        found = []
-        for subset in combinations(range(d.n), size):
-            sub = induced_subdigraph(d, subset)
-            if hom_exists(d, sub) is not None:
-                found.append(sub)
+        found = [induced_subdigraph(d, subset) for subset in combinations(range(d.n), size)
+                 if _hom_images(d, d, sum(1 << v for v in subset), HOM_BUDGET) is not None]
         if found:
             first = found[0]
             if any(not is_isomorphic(first, other) for other in found[1:]):
@@ -91,8 +97,7 @@ def is_oriented_forest(d: Digraph) -> bool:
     """No symmetric arc pair and an acyclic underlying graph."""
     if any((v, u) in d.arcs for u, v in d.arcs):
         return False
-    g = underlying(d)
-    return len(g.edges) == d.n - len(connected_components(d))
+    return len(d.arcs) == d.n - len(connected_components(d))
 
 
 def is_oriented_tree(d: Digraph) -> bool:

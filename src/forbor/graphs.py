@@ -6,25 +6,23 @@ The module also provides the small-universe isomorphism machinery
 (canonical forms, and isomorphism classes enumerated by orderly
 generation, one orbit-minimum representative each) that the rest of the
 package uses as its brute-force substrate, and _embed, the one backtracking
-kernel: containment, the orientation search and homomorphisms all run on
-it.  It needs only the standard library.
+kernel: containment, isomorphism, the orientation search, homomorphisms
+and cores all run on it.  It needs only the standard library.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, groupby, permutations, product
 
 #: hard cap for exhaustive isomorphism-class enumeration
 ENUM_LIMIT = 5
 
-#: permutation-based canonical forms always work up to this many vertices
-CANON_LIMIT = 8
-
-#: beyond CANON_LIMIT, proceed only if colour refinement leaves at most
-#: this many class-respecting permutations to scan
+#: canonical forms proceed only if colour refinement leaves at most this
+#: many class-respecting permutations to scan
 CANON_PERM_BUDGET = 1_000_000
 
 
@@ -510,40 +508,29 @@ def girth(g: Graph):
 
 
 def _refined_colours(d: Digraph):
-    """Stable vertex colouring refined from (in-degree, out-degree)."""
-    colours = {v: d.degrees(v) for v in range(d.n)}
+    """Stable vertex colouring, as a list, refined from (in-degree, out-degree)."""
+    out, inn, _ = d._adj
+    outs, ins = list(map(_bits, out)), list(map(_bits, inn))
+    colours = [(i.bit_count(), o.bit_count()) for o, i in zip(out, inn)]
     while True:
-        fresh = {}
-        for v in range(d.n):
-            outs = sorted(colours[w] for w in d.out_neighbours(v))
-            ins = sorted(colours[w] for w in d.in_neighbours(v))
-            fresh[v] = (colours[v], tuple(outs), tuple(ins))
+        fresh = [(c, tuple(sorted(colours[w] for w in o)), tuple(sorted(colours[w] for w in i)))
+                 for c, o, i in zip(colours, outs, ins)]
         # compress to ranks so tuples stay small
-        ranking = {c: i for i, c in enumerate(sorted(set(fresh.values())))}
-        fresh = {v: ranking[fresh[v]] for v in fresh}
-        if len(set(fresh.values())) == len(set(colours.values())):
+        ranking = {c: i for i, c in enumerate(sorted(set(fresh)))}
+        fresh = [ranking[c] for c in fresh]
+        if len(ranking) == len(set(colours)):
             return fresh
         colours = fresh
 
 
-def _class_respecting_permutations(colours, n):
+def _class_respecting_permutations(colours):
     """Permutations mapping vertices onto positions sorted by colour class."""
-    order = sorted(range(n), key=lambda v: (colours[v], v))
-    blocks = []
-    i = 0
-    while i < n:
-        j = i
-        while j < n and colours[order[j]] == colours[order[i]]:
-            j += 1
-        blocks.append(order[i:j])
-        i = j
-    for parts in product(*(permutations(b) for b in blocks)):
-        perm = [0] * n
-        pos = 0
-        for part in parts:
-            for v in part:
-                perm[v] = pos
-                pos += 1
+    order = sorted(range(len(colours)), key=lambda v: (colours[v], v))
+    blocks = [tuple(b) for _, b in groupby(order, key=colours.__getitem__)]
+    for parts in product(*map(permutations, blocks)):
+        perm = [0] * len(colours)
+        for pos, v in enumerate(chain.from_iterable(parts)):
+            perm[v] = pos
         yield perm
 
 
@@ -551,24 +538,20 @@ def canonical_form(d: Digraph) -> Digraph:
     """Canonical representative of d's isomorphism class.
 
     Minimizes the sorted arc tuple over all permutations compatible with a
-    degree-refinement colouring.  Always fine up to CANON_LIMIT vertices;
-    larger inputs are accepted only while the refinement keeps the
-    permutation count within CANON_PERM_BUDGET.
+    degree-refinement colouring, and raises ValueError if there are more
+    than CANON_PERM_BUDGET of them (never on 9 or fewer vertices, as
+    9! < CANON_PERM_BUDGET).
     """
     colours = _refined_colours(d)
-    if d.n > CANON_LIMIT:
-        sizes = {}
-        for c in colours.values():
-            sizes[c] = sizes.get(c, 0) + 1
-        perms = 1
-        for s in sizes.values():
-            perms *= math.factorial(s)
-            if perms > CANON_PERM_BUDGET:
-                raise ValueError(
-                    f"canonical form would scan {perms}+ permutations; "
-                    f"exhaustive search is capped at {CANON_PERM_BUDGET}")
+    perms = 1
+    for s in Counter(colours).values():
+        perms *= math.factorial(s)
+        if perms > CANON_PERM_BUDGET:
+            raise ValueError(
+                f"canonical form would scan {perms}+ permutations; "
+                f"exhaustive search is capped at {CANON_PERM_BUDGET}")
     best = None
-    for perm in _class_respecting_permutations(colours, d.n):
+    for perm in _class_respecting_permutations(colours):
         arcs = tuple(sorted((perm[u], perm[v]) for u, v in d.arcs))
         if best is None or arcs < best:
             best = arcs
@@ -577,23 +560,23 @@ def canonical_form(d: Digraph) -> Digraph:
 
 
 def is_isomorphic(d1: Digraph, d2: Digraph) -> bool:
-    if d1.n != d2.n or len(d1.arcs) != len(d2.arcs):
-        return False
-    return canonical_form(d1).arcs == canonical_form(d2).arcs
+    """An induced embedding between digraphs of equal order is an isomorphism."""
+    return (d1.n == d2.n and len(d1.arcs) == len(d2.arcs)
+            and contains_induced(d1, d2) is not None)
+
+
+def _symmetric(g: Graph) -> Digraph:
+    """g as a digraph with a digon for each edge."""
+    return Digraph(g.n, g.edges | {(v, u) for u, v in g.edges})
 
 
 def graph_canonical_form(g: Graph) -> Graph:
     """Canonical representative for undirected graphs, via the digraph form."""
-    d = Digraph(g.n, frozenset((u, v) for u, v in g.edges) |
-                frozenset((v, u) for u, v in g.edges))
-    c = canonical_form(d)
-    return underlying(c)
+    return underlying(canonical_form(_symmetric(g)))
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False
-    return graph_canonical_form(g1).edges == graph_canonical_form(g2).edges
+    return is_isomorphic(_symmetric(g1), _symmetric(g2))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ acyclic flag also rejects each directed cycle as it closes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .duality import hom_exists
@@ -398,13 +399,17 @@ def reduce_to_connected(F: ForbiddenSet, n_verify: int = 5):
     splittable = [h for h in F.members if len(connected_components(h)) > 1]
     choice_lists = [_components_of(h) for h in splittable]
     universe = [g for n in range(1, n_verify + 1) for g in enumerate_graphs(n)]
+
+    @lru_cache(maxsize=None)
+    def f_admits(g, ac):        # F's verdict, searched on first use only
+        return admits_orientation(g, F, SearchMode("induced", ac)).admits
+
     tried = 0
     for picks in product(*choice_lists):
         candidate = ForbiddenSet(tuple(connected) + picks)
         tried += 1
         if all(
-            admits_orientation(g, candidate, SearchMode("induced", ac)).admits
-            == admits_orientation(g, F, SearchMode("induced", ac)).admits
+            admits_orientation(g, candidate, SearchMode("induced", ac)).admits == f_admits(g, ac)
             for g in universe for ac in (False, True)
         ):
             return candidate, ReduceReport(tried, n_verify, candidate)
@@ -416,22 +421,23 @@ def reduce_to_connected(F: ForbiddenSet, n_verify: int = 5):
 
 
 def oracle_k_colourable(g: Graph, k: int) -> bool:
-    """Brute-force proper colouring with k colours."""
-    colours = [None] * g.n
-    adj = [g.neighbours(v) for v in range(g.n)]
-
-    def assign(v):
-        if v == g.n:
-            return True
-        for c in range(k):
-            if all(colours[w] != c for w in adj[v]):
-                colours[v] = c
-                if assign(v + 1):
-                    return True
-                colours[v] = None
-        return False
-
-    return assign(0)
+    """Brute-force proper colouring with k colours, vertices in label order;
+    the placed colours are the backtracking stack, so nothing recurses."""
+    earlier = [[w for w in g.neighbours(v) if w < v] for v in range(g.n)]
+    colours = []                # colours of vertices 0 .. len(colours) - 1
+    c = 0                       # the next colour to try on vertex len(colours)
+    while len(colours) < g.n:
+        taken = {colours[w] for w in earlier[len(colours)]}
+        while c in taken:
+            c += 1
+        if c < k:
+            colours.append(c)
+            c = 0
+        elif not colours:
+            return False
+        else:
+            c = colours.pop() + 1
+    return True
 
 
 def oracle_chordal(g: Graph) -> bool:

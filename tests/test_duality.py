@@ -1,14 +1,15 @@
 import random
 from concurrent.futures.process import BrokenProcessPool
+from itertools import combinations
 
 import pytest
 
 import forbor
-from conftest import arc, c3, first_hom_oracle, p3, tt3
+from conftest import all_labelled_digraphs, arc, c3, first_hom_oracle, p3, tt3
 
 from forbor import (
     Digraph, WorkBudgetExceeded, core_of, directed_cycle, directed_path,
-    disjoint_union, enumerate_digraphs, hom_exists, is_hom_equivalent,
+    disjoint_union, enumerate_digraphs, hom_exists, induced_subdigraph, is_hom_equivalent,
     is_isomorphic, is_oriented_forest, is_oriented_tree, known_duality_catalog,
     minimal_elements, transitive_tournament, verify_duality_pair,
     verify_generalized_duality,
@@ -138,6 +139,26 @@ def test_core_idempotent_and_equivalent():
         c = core_of(d)
         assert is_hom_equivalent(c, d)
         assert is_isomorphic(core_of(c), c)
+
+
+def test_core_order_is_the_raw_minimum(monkeypatch):
+    # core_of builds d[S] only for vertex sets S that d maps into
+    import forbor.duality as duality
+    built = []
+
+    def recording(d, subset):
+        built.append((d, subset))
+        return induced_subdigraph(d, subset)
+
+    monkeypatch.setattr(duality, "induced_subdigraph", recording)
+    for n in range(1, 4):
+        for d in all_labelled_digraphs(n):
+            least = next(size for size in range(1, n + 1)
+                         if any(first_hom_oracle(d, induced_subdigraph(d, s)) is not None
+                                for s in combinations(range(n), size)))
+            assert core_of(d).n == least
+    assert built and all(first_hom_oracle(d, induced_subdigraph(d, s)) is not None
+                         for d, s in built)
 
 
 def test_is_hom_equivalent():

@@ -9,15 +9,17 @@ import pytest
 
 import forbor
 from conftest import all_labelled_digraphs, iso_oracle, max_independent_set, induced_cycle_lengths
-from conftest import orbit_minima_oracle, topological_order_oracle
+from conftest import graph_iso_oracle, orbit_minima_oracle, topological_order_oracle
 from conftest import arc, b1, c3, p3, tt3
 
 from forbor import (
     Digraph, Graph, OrientedGraph, Orientation, canonical_form, complete_graph,
-    contains_induced, coupling, directed_path, enumerate_digraphs,
-    enumerate_graphs, girth, graphs_isomorphic, is_acyclic, is_isomorphic,
-    make_cycle, make_path, orientations_of, transitive_tournament, underlying,
+    contains_induced, coupling, directed_cycle, directed_path, disjoint_union,
+    enumerate_digraphs, enumerate_graphs, girth, graph_union, graphs_isomorphic,
+    is_acyclic, is_isomorphic, make_cycle, make_path, orientations_of,
+    transitive_tournament, underlying,
 )
+from forbor.graphs import graph_canonical_form
 
 
 def test_invariants_reject_bad_values():
@@ -356,6 +358,76 @@ def test_canonical_form_is_class_invariant():
     assert is_isomorphic(d, base)
     assert not is_isomorphic(tt3(), c3())
     assert graphs_isomorphic(make_cycle(4), Graph(4, frozenset({(0, 2), (2, 1), (1, 3), (3, 0)})))
+
+
+def _relabel(d, p):
+    return type(d)(d.n, frozenset((p[u], p[v]) for u, v in d.arcs))
+
+
+def _shuffled(rng, n):
+    p = list(range(n))
+    rng.shuffle(p)
+    return p
+
+
+def test_is_isomorphic_agrees_with_oracle_on_three_vertices():
+    ds = list(all_labelled_digraphs(3))
+    for d1 in ds:
+        for d2 in ds:
+            assert is_isomorphic(d1, d2) == iso_oracle(d1, d2)
+
+
+def test_is_isomorphic_agrees_with_oracle_on_random_pairs(rng):
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        d = Digraph(n, frozenset((u, v) for u in range(n) for v in range(n)
+                                 if u != v and rng.random() < 0.4))
+        same = _relabel(d, _shuffled(rng, n))
+        assert is_isomorphic(d, same) and iso_oracle(d, same)
+        # move one arc of the copy to a free slot: equal counts, often another class
+        free = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in same.arcs]
+        if same.arcs and free:
+            moved = Digraph(n, same.arcs - {rng.choice(sorted(same.arcs))} | {rng.choice(free)})
+            assert is_isomorphic(d, moved) == iso_oracle(d, moved)
+
+
+def test_graphs_isomorphic_agrees_with_oracle_on_four_vertices():
+    slots = list(combinations(range(4), 2))
+    gs = [Graph(4, frozenset(s for i, s in enumerate(slots) if m >> i & 1))
+          for m in range(1 << len(slots))]
+    for g1 in gs:
+        for g2 in gs:
+            assert graphs_isomorphic(g1, g2) == graph_iso_oracle(g1, g2)
+
+
+def test_isomorphism_decides_vertex_transitive_inputs(rng):
+    # past the canonical form's permutation budget, so only the kernel decides these
+    c12 = directed_cycle(12)
+    assert is_isomorphic(c12, _relabel(c12, _shuffled(rng, 12)))
+    assert not is_isomorphic(c12, disjoint_union(directed_cycle(6), directed_cycle(6)))
+    c10 = make_cycle(10)
+    p = _shuffled(rng, 10)
+    assert graphs_isomorphic(c10, Graph(10, frozenset((p[u], p[v]) for u, v in c10.edges)))
+    assert not graphs_isomorphic(c10, graph_union(make_cycle(5), make_cycle(5)))
+
+
+#: sha256 of the canonical representatives below; a change to it is a
+#: change of representative and must be named
+CANONICAL_SHA256 = "6c83230808bf343646f134023c95ba045f1dba7c24cc1210e6c860566fd29196"
+
+
+def test_canonical_representatives_are_pinned():
+    h = hashlib.sha256()
+    for n in range(1, 5):
+        for d in all_labelled_digraphs(n):
+            h.update(f"{sorted(canonical_form(d).arcs)}\n".encode())
+    for d in enumerate_digraphs(5, oriented_only=True):
+        h.update(f"{sorted(canonical_form(_relabel(d, [4, 3, 2, 1, 0])).arcs)}\n".encode())
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            g = Graph(n, frozenset((n - 1 - u, n - 1 - v) for u, v in g.edges))
+            h.update(f"{sorted(graph_canonical_form(g).edges)}\n".encode())
+    assert h.hexdigest() == CANONICAL_SHA256
 
 
 def test_acyclicity_round_trips_through_orientation_stream():

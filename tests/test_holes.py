@@ -57,6 +57,21 @@ def test_multiples_closure_check():
     assert check_multiples_closure(primes_spec()).passed
 
 
+def test_multiples_closure_violations_die_out():
+    # only 8 is a hole length, so 4 -> 8 is the one violation
+    result = check_multiples_closure(HoleClassSpec.custom({8}.__contains__, tail="other"))
+    assert result.passed and result.threshold == 5
+    assert result.note.startswith("violations die out below the sample cap")
+
+
+def test_odd_tail_threshold_clamped_to_four():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = HoleClassSpec.odd_tail(3)
+    assert spec.threshold == 4
+    assert [str(w.message) for w in caught] == ["odd-tail threshold clamped to 4"]
+
+
 def test_infinite_cycles_check():
     chordal_like = HoleClassSpec.cofinite_complement([])
     r = check_infinite_cycles(chordal_like)

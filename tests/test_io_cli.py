@@ -100,6 +100,23 @@ def test_parse_errors_name_the_offending_line():
         parse_hole_spec("# exceptions past M\nvariant=odd_tail M=7 exceptions=9\n")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_graph, "graph 3\ne 0 x\n", "line 2: vertices must be integers"),
+    (parse_graph, "# no header\n", "line 1: missing 'graph <n>' header"),
+    (parse_digraph_blocks, "# nothing\n\n", "line 1: no digraph blocks found"),
+    (parse_hole_spec, "variant\n", "line 1: expected key=value, got 'variant'"),
+    (parse_hole_spec, "variant=finite members=5,x\n",
+     "line 1: members must be comma-separated integers"),
+    (parse_hole_spec, "members=5\n", "line 1: missing variant="),
+    (parse_hole_spec, "variant=odd_tail\n", "line 1: odd_tail needs M=<threshold>"),
+    (parse_hole_spec, "variant=custom\n", "line 1: custom needs tail="),
+])
+def test_format_error_messages(parse, text, message):
+    with pytest.raises(FormatError) as caught:
+        parse(text)
+    assert str(caught.value) == message
+
+
 def test_parse_factor_set():
     A = parse_factor_set("# comment\n>>\n<<\n")
     assert A.members == {">>", "<<"}

@@ -204,6 +204,29 @@ def test_reduce_to_connected():
     assert none_found is None and rep3.tried >= 1
 
 
+def test_reduce_to_connected_searches_F_once_per_graph(monkeypatch):
+    import forbor.search as search
+    calls = []
+    real = search.admits_orientation
+
+    def counting(g, F, mode, *args):
+        calls.append((F, g, mode.acyclic))
+        return real(g, F, mode, *args)
+
+    monkeypatch.setattr(search, "admits_orientation", counting)
+    F = ForbiddenSet((disjoint_union(arc(), arc()),))
+    found, rep = reduce_to_connected(F, 5)
+    assert found is None and rep.tried == 2
+    on_F = [c for c in calls if c[0] is F]
+    per_candidate = {}          # by identity: both candidates are {arc}
+    for c in calls:
+        if c[0] is not F:
+            per_candidate[id(c[0])] = per_candidate.get(id(c[0]), 0) + 1
+    # each candidate checks a prefix of the same (graph, acyclic) sequence,
+    # and F is searched once for each pair some candidate reached
+    assert len(on_F) == len(set(on_F)) == max(per_candidate.values())
+
+
 def test_overlap_free_implies_plain_free_for_connected():
     # for all-connected sets the two containments coincide on verdicts
     F = ForbiddenSet((b1(), c3()))
@@ -293,6 +316,9 @@ def test_pigeonhole_blowup_for_disconnected_member():
 def test_colouring_and_chordal_oracles():
     assert not oracle_k_colourable(make_cycle(5), 2)
     assert oracle_k_colourable(make_cycle(5), 3)
+    # long inputs do not recurse
+    assert oracle_k_colourable(make_path(3000), 2)
+    assert not oracle_k_colourable(make_cycle(3001), 2)
     assert not oracle_chordal(make_cycle(4))
     assert oracle_chordal(complete_graph(4))
     from forbor import coupling
