@@ -173,10 +173,12 @@ def verify_generalized_duality(F, M, n_max: int = 4,
     it maps into some member of M.  Returns the first violation in
     canonical order, certificates verified.  With jobs > 1 the universe is
     scanned in parallel chunks; the merged result is still the canonically
-    first counterexample.
+    first counterexample.  An n_max below 1 or past the enumeration cap
+    raises ValueError before any scan.
     """
     forb = tuple(F)
     targets = tuple(M)
+    enumerate_digraphs(n_max)
     indexed = list(enumerate(_universe(n_max)))
     hit = None
     if jobs > 1:

@@ -7,7 +7,10 @@ The module also provides the small-universe isomorphism machinery
 generation, one orbit-minimum representative each) that the rest of the
 package uses as its brute-force substrate, and _embed, the one backtracking
 kernel: containment, isomorphism, the orientation search, homomorphisms
-and cores all run on it.  It needs only the standard library.
+and cores all run on it.  Its tables (_Tables) read only n and arcs, and a
+graph's arcs are both directions of each edge, so every kernel entry point
+takes a Graph, Digraph or Orientation as it is.  It needs only the
+standard library.
 """
 
 from __future__ import annotations
@@ -66,59 +69,12 @@ def _closure(adj, mask):
     return mask
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph: no loops, no parallel edges."""
-
-    n: int
-    edges: frozenset = frozenset()
-
-    def __post_init__(self):
-        try:
-            edges = frozenset((u, v) if u <= v else (v, u) for u, v in self.edges)
-        except TypeError:  # ends that do not compare are not both integers
-            _check_pairs(self.edges, self.n)
-            raise
-        object.__setattr__(self, "edges", edges)
-        _check_pairs(edges, self.n)
-
-    @cached_property
-    def _nbr(self):
-        """Per-vertex neighbour bitmasks, built once."""
-        nbr = [0] * self.n
-        for u, v in self.edges:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        return tuple(nbr)
-
-    def has_edge(self, u, v):
-        return (min(u, v), max(u, v)) in self.edges
-
-    def neighbours(self, v):
-        return set(_bits(self._nbr[v]))
-
-    def degree(self, v):
-        return self._nbr[v].bit_count()
-
-    def sorted_edges(self):
-        return sorted(self.edges)
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Directed graph: no loops, no parallel arcs; symmetric pairs allowed."""
-
-    n: int
-    arcs: frozenset = frozenset()
-
-    def __post_init__(self):
-        arcs = frozenset(map(tuple, self.arcs))
-        object.__setattr__(self, "arcs", arcs)
-        _check_pairs(arcs, self.n)
+class _Tables:
+    """The kernels' per-value tables, read from n and arcs alone and built once."""
 
     @cached_property
     def _adj(self):
-        """Per-vertex (out, in, neighbour) bitmasks, built once."""
+        """Per-vertex (out, in, neighbour) bitmasks."""
         out = [0] * self.n
         inn = [0] * self.n
         for u, v in self.arcs:
@@ -148,6 +104,53 @@ class Digraph:
         """_embed's host for homs into self: in, out and digon masks as relations 1-3."""
         out, inn, _ = self._adj
         return None, inn, out, tuple(map(int.__and__, out, inn))
+
+
+@dataclass(frozen=True)
+class Graph(_Tables):
+    """Simple undirected graph: no loops, no parallel edges."""
+
+    n: int
+    edges: frozenset = frozenset()
+
+    def __post_init__(self):
+        try:
+            edges = frozenset((u, v) if u <= v else (v, u) for u, v in self.edges)
+        except TypeError:  # ends that do not compare are not both integers
+            _check_pairs(self.edges, self.n)
+            raise
+        object.__setattr__(self, "edges", edges)
+        _check_pairs(edges, self.n)
+
+    @cached_property
+    def arcs(self):
+        """Both directions of each edge: the digraph the kernels read."""
+        return self.edges | {(v, u) for u, v in self.edges}
+
+    def has_edge(self, u, v):
+        return (min(u, v), max(u, v)) in self.edges
+
+    def neighbours(self, v):
+        return set(_bits(self._adj[2][v]))
+
+    def degree(self, v):
+        return self._adj[2][v].bit_count()
+
+    def sorted_edges(self):
+        return sorted(self.edges)
+
+
+@dataclass(frozen=True)
+class Digraph(_Tables):
+    """Directed graph: no loops, no parallel arcs; symmetric pairs allowed."""
+
+    n: int
+    arcs: frozenset = frozenset()
+
+    def __post_init__(self):
+        arcs = frozenset(map(tuple, self.arcs))
+        object.__setattr__(self, "arcs", arcs)
+        _check_pairs(arcs, self.n)
 
     def has_arc(self, u, v):
         return (u, v) in self.arcs
@@ -180,7 +183,7 @@ class OrientedGraph(Digraph):
 
 
 @dataclass(frozen=True)
-class Orientation:
+class Orientation(_Tables):
     """An assignment of a direction to every edge of a base graph."""
 
     base: Graph
@@ -206,6 +209,11 @@ class Orientation:
             seen.add(e)
         raise ValueError("not every edge received a direction")
 
+    @property
+    def n(self):
+        """The base graph's order: the kernels read the arcs on its vertices."""
+        return self.base.n
+
     def direction(self, u, v):
         """The oriented arc carried by edge {u, v}."""
         if (u, v) in self.arcs:
@@ -220,7 +228,7 @@ class Orientation:
 
 def underlying(d: Digraph) -> Graph:
     """Underlying simple graph of a digraph (digons collapse to one edge)."""
-    return Graph(d.n, frozenset((min(u, v), max(u, v)) for u, v in d.arcs))
+    return Graph(d.n, d.arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +258,7 @@ def coupling(r: int, s: int) -> Graph:
         raise ValueError("both cycles need at least 3 edges")
     edges = {(i, i + 1) for i in range(r - 1)} | {(0, r - 1)}
     second = [0] + list(range(r, r + s - 1))
-    edges |= {(min(a, b), max(a, b)) for a, b in zip(second, second[1:])}
+    edges |= set(zip(second, second[1:]))
     edges.add((0, r + s - 2))
     return Graph(r + s - 1, frozenset(edges))
 
@@ -292,17 +300,12 @@ def disjoint_union(*ds):
 
 def graph_union(*gs):
     """Disjoint union of undirected graphs."""
-    n = 0
-    edges = set()
-    for g in gs:
-        edges |= {(u + n, v + n) for u, v in g.edges}
-        n += g.n
-    return Graph(n, frozenset(edges))
+    return underlying(disjoint_union(*gs))
 
 
 def connected_components(d):
-    """Weakly connected components, as sorted vertex lists (works for Graph too)."""
-    nbr = d._adj[2] if isinstance(d, Digraph) else d._nbr
+    """Weakly connected components of a graph, digraph or orientation, as sorted lists."""
+    nbr = d._adj[2]
     seen = 0
     comps = []
     for start in range(d.n):
@@ -324,11 +327,7 @@ def induced_subdigraph(d: Digraph, vertices):
 
 
 def induced_subgraph(g: Graph, vertices):
-    vs = sorted(vertices)
-    index = {v: i for i, v in enumerate(vs)}
-    edges = frozenset((index[u], index[v]) for u, v in g.edges
-                      if u in index and v in index)
-    return Graph(len(vs), edges)
+    return underlying(induced_subdigraph(g, vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +474,7 @@ def orientations_of(g: Graph, acyclic_only: bool = False):
     """
     for arcs in product(*(((u, v), (v, u)) for u, v in g.sorted_edges())):
         o = Orientation(g, arcs)
-        if acyclic_only and not is_acyclic(o.oriented_graph()):
+        if acyclic_only and not is_acyclic(o):
             continue
         yield o
 
@@ -540,7 +539,8 @@ def canonical_form(d: Digraph) -> Digraph:
     Minimizes the sorted arc tuple over all permutations compatible with a
     degree-refinement colouring, and raises ValueError if there are more
     than CANON_PERM_BUDGET of them (never on 9 or fewer vertices, as
-    9! < CANON_PERM_BUDGET).
+    9! < CANON_PERM_BUDGET).  A Graph gets the Digraph representative of
+    its symmetric digraph.
     """
     colours = _refined_colours(d)
     perms = 1
@@ -565,18 +565,13 @@ def is_isomorphic(d1: Digraph, d2: Digraph) -> bool:
             and contains_induced(d1, d2) is not None)
 
 
-def _symmetric(g: Graph) -> Digraph:
-    """g as a digraph with a digon for each edge."""
-    return Digraph(g.n, g.edges | {(v, u) for u, v in g.edges})
-
-
 def graph_canonical_form(g: Graph) -> Graph:
     """Canonical representative for undirected graphs, via the digraph form."""
-    return underlying(canonical_form(_symmetric(g)))
+    return underlying(canonical_form(g))
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return is_isomorphic(_symmetric(g1), _symmetric(g2))
+    return is_isomorphic(g1, g2)
 
 
 # ---------------------------------------------------------------------------

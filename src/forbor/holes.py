@@ -128,16 +128,16 @@ class CheckResult:
     note: str = ""
 
 
-def _tail_threshold(spec: HoleClassSpec, cyc, k_max: int) -> int:
+def _tail_threshold(spec: HoleClassSpec) -> int:
     """One past the last length departing from a declared finite or odd tail.
 
-    A length departs when it is a declared member, or when its sampled
-    presence differs from the tail's (finite: every length present; odd
-    tail: exactly the even lengths present).
+    A length departs when it is a declared member, or when its presence
+    differs from the tail's (finite: every length present; odd tail:
+    exactly the even lengths present), at any k up to spec.bound.
     """
     finite = spec.tail_kind() == "finite"
-    departing = [k for k in range(4, k_max + 1)
-                 if (k in cyc) != (finite or k % 2 == 0)]
+    departing = [k for k in range(4, spec.bound + 1)
+                 if spec.forbids(k) == (finite or k % 2 == 0)]
     return max(departing + list(spec.members), default=3) + 1
 
 
@@ -156,7 +156,7 @@ def check_multiples_closure(spec: HoleClassSpec, k_max: int = 120) -> CheckResul
     k_max = min(k_max, spec.bound)
     cyc = cycles_in_class(spec, k_max)
     if tail in ("finite", "odd_tail"):
-        return CheckResult(True, threshold=_tail_threshold(spec, cyc, k_max),
+        return CheckResult(True, threshold=_tail_threshold(spec),
                            note="beyond the threshold the declared tail keeps "
                                 "every present length's multiples present "
                                 "(threshold is sample-derived)")
@@ -207,16 +207,13 @@ def check_coupling_cofiniteness(spec: HoleClassSpec, k_max: int = 120) -> CheckR
     if tail == "cofinite":
         return CheckResult(True, note="not applicable: finitely many cycle "
                                       "lengths (see the infinite-cycles check)")
-    k_max = min(k_max, spec.bound)
-    cyc = cycles_in_class(spec, k_max)
+    cyc = cycles_in_class(spec, min(k_max, spec.bound))
     if tail == "finite":
-        return CheckResult(True, threshold=_tail_threshold(spec, cyc, k_max),
-                           gcd_r=1,
+        return CheckResult(True, threshold=_tail_threshold(spec), gcd_r=1,
                            note="beyond the largest forbidden length every "
                                 "cycle is present (threshold is sample-derived)")
     if tail == "odd_tail":
-        return CheckResult(True, threshold=_tail_threshold(spec, cyc, k_max),
-                           gcd_r=2,
+        return CheckResult(True, threshold=_tail_threshold(spec), gcd_r=2,
                            note="even lengths fill 2Z+ beyond the threshold "
                                 "(threshold is sample-derived)")
     # unstructured coinfinite tail: cofiniteness in rZ+ would force the

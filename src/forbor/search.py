@@ -174,7 +174,7 @@ def _prepare(h: OrientedGraph, g: Graph, hom: bool):
     undecided, so the leaf's test is hom_exists on the orientation.
     """
     order, out = h._order, h._adj[0]
-    allowed = [(1 << g.n) - 1] * h.n if hom else _allowed(h, g._nbr)
+    allowed = [(1 << g.n) - 1] * h.n if hom else _allowed(h, g._adj[2])
     pins = []
     for x in order:
         for y in order:
@@ -196,15 +196,14 @@ def _embeds_through(pins, host, u, v):
 
 
 def verify_orientation(o: Orientation, F: ForbiddenSet, mode: SearchMode) -> bool:
-    """Independent pass: does the complete orientation avoid everything?"""
-    d = o.oriented_graph()
-    if mode.acyclic and not is_acyclic(d):
+    """Independent pass on o's arcs alone: does the orientation avoid everything?"""
+    if mode.acyclic and not is_acyclic(o):
         return False
     if mode.containment == "hom":
-        return not any(hom_exists(h, d) is not None for h in F.members)
+        return not any(hom_exists(h, o) is not None for h in F.members)
     if mode.containment == "overlap":
-        return not any(overlap_contains(h, d) for h in F.members)
-    return not any(contains_induced(h, d) is not None for h in F.members)
+        return not any(overlap_contains(h, o) for h in F.members)
+    return not any(contains_induced(h, o) is not None for h in F.members)
 
 
 def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
@@ -229,7 +228,7 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
     # (hom checks never read relation 0)
     out = [0] * g.n
     inn = [0] * g.n
-    host = (_non_adjacent(g._nbr), inn, out)
+    host = (_non_adjacent(g._adj[2]), inn, out)
     work = 0
 
     # components with no arcs embed without any decided edge, on vertices
@@ -391,8 +390,10 @@ def reduce_to_connected(F: ForbiddenSet, n_verify: int = 5):
     substitution choice is verified against F (plain and acyclic induced
     search) on all graphs with up to n_verify vertices.  Returns the first
     verified candidate with a report, or (None, report): absence signals
-    the decided class is likely not closed under disjoint unions.
+    the decided class is likely not closed under disjoint unions.  An
+    n_verify below 1 or past the enumeration cap raises ValueError.
     """
+    enumerate_graphs(n_verify)
     if F.all_connected:
         return F, ReduceReport(0, n_verify, F)
     connected = [h for h in F.members if len(connected_components(h)) == 1]

@@ -230,6 +230,15 @@ def test_generalized_duality():
         assert rep.holds
 
 
+def test_duality_bounds_outside_the_universe_are_refused():
+    # no verdict over an empty universe, and the cap error names the bound given
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            verify_duality_pair(c3(), transitive_tournament(2), n)
+    with pytest.raises(ValueError, match=r"enumeration bound exceeded: 9 > 5"):
+        verify_duality_pair(c3(), transitive_tournament(2), 9)
+
+
 def test_generalized_duality_jobs_matches_sequential():
     seq = verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=1)
     par = verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=2)

@@ -9,14 +9,16 @@ import pytest
 
 import forbor
 from conftest import all_labelled_digraphs, iso_oracle, max_independent_set, induced_cycle_lengths
-from conftest import graph_iso_oracle, orbit_minima_oracle, topological_order_oracle
+from conftest import first_hom_oracle, graph_iso_oracle, induced_embeddings_oracle
+from conftest import orbit_minima_oracle, topological_order_oracle
 from conftest import arc, b1, c3, p3, tt3
 
 from forbor import (
     Digraph, Graph, OrientedGraph, Orientation, canonical_form, complete_graph,
-    contains_induced, coupling, directed_cycle, directed_path, disjoint_union,
+    connected_components, contains_induced, core_of, coupling, directed_cycle,
+    directed_path, disjoint_union,
     enumerate_digraphs, enumerate_graphs, girth, graph_union, graphs_isomorphic,
-    is_acyclic, is_isomorphic, make_cycle, make_path, orientations_of,
+    hom_exists, is_acyclic, is_isomorphic, make_cycle, make_path, orientations_of,
     transitive_tournament, underlying,
 )
 from forbor.graphs import graph_canonical_form
@@ -463,3 +465,33 @@ def test_orientation_count_and_underlying():
             count += 1
             assert underlying(o.oriented_graph()).edges == g.edges
         assert count == 2 ** len(g.edges)
+
+
+def _symmetric_by_hand(g):
+    """g as a digraph with both arcs of each edge, built from its edges."""
+    return Digraph(g.n, frozenset(g.edges) | {(v, u) for u, v in g.edges})
+
+
+def test_kernel_entry_points_take_graphs(rng):
+    # a Graph gives what its symmetric digraph gives, over every graph on
+    # at most 5 vertices and a relabelled copy of each
+    gs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    gs += [Graph(g.n, frozenset((p[u], p[v]) for u, v in g.edges))
+           for g in gs for p in [_shuffled(rng, g.n)]]
+    ds = [_symmetric_by_hand(g) for g in gs]
+    for g, d in zip(gs, ds):
+        assert g.arcs == d.arcs
+        assert connected_components(g) == connected_components(d)
+        assert core_of(g) == core_of(d)
+        assert canonical_form(g) == canonical_form(d)
+        for g2, d2 in zip(gs, ds):
+            assert hom_exists(g, g2) == hom_exists(d, d2)
+            assert contains_induced(g, g2) == contains_induced(d, d2)
+            assert is_isomorphic(g, g2) == is_isomorphic(d, d2) == graph_iso_oracle(g, g2)
+    # and what the brute-force oracles give, on seeded random pairs
+    for _ in range(300):
+        g1, g2 = rng.choice(gs), rng.choice(gs)
+        w = hom_exists(g1, g2)
+        assert (w and w.mapping) == first_hom_oracle(g1, g2)
+        hit, every = contains_induced(g1, g2), induced_embeddings_oracle(g1, g2)
+        assert hit in every if every else hit is None

@@ -186,6 +186,15 @@ def test_tail_thresholds_count_every_departing_length():
     # a custom finite tail takes its forbidden lengths from the sample
     custom = HoleClassSpec.custom({10}.__contains__, tail="finite")
     assert check_coupling_cofiniteness(custom).threshold == 11
+    # 21 is present and 63 absent, so no threshold below 28 holds, whatever k_max
+    spec = HoleClassSpec.odd_tail(29, (9,))
+    for k_max in range(4, 70):
+        assert check_multiples_closure(spec, k_max).threshold == 28
+        assert check_coupling_cofiniteness(spec, k_max).threshold == 28
+    # a forbidden length beyond the default k_max still counts
+    custom = HoleClassSpec.custom({150}.__contains__, tail="finite")
+    assert check_multiples_closure(custom, 120).threshold == 151
+    assert check_coupling_cofiniteness(custom, 120).threshold == 151
 
 
 def test_custom_spec_needs_declared_tail():

@@ -439,10 +439,15 @@ def test_cli_reports_are_pinned(tmp_path, name, argv, fmt):
     (["--version"], 0, ""),
     ([], 1, ""),
     (["duality"], 1, ""),
+    (["duality", "verify", "-A", "@c3.dig", "-B", "@tt2.dig", "--n", "-2"], 1,
+     "error: need at least one vertex"),
+    (["duality", "verify", "-A", "@c3.dig", "-B", "@tt2.dig", "--n", "9"], 1,
+     "error: enumeration bound exceeded: 9 > 5"),
 ], ids=["unreadable", "bad_range", "empty_range", "lang_kmax_negative", "lang_kmax_zero",
         "holes_kmax_negative", "holes_kmax_zero", "budget_zero", "jobs_zero",
         "translate_non_word", "translate_non_path", "parse_error", "budget_exhausted",
-        "version", "no_subcommand", "no_duality_subcommand"])
+        "version", "no_subcommand", "no_duality_subcommand", "duality_n_below_one",
+        "duality_n_past_cap"])
 def test_cli_errors_are_pinned(tmp_path, capsys, argv, status, message):
     argv = _golden_argv(tmp_path, argv)
     message = message.replace("@", str(tmp_path) + "/")

@@ -7,7 +7,7 @@ from forbor import (
     admits_orientation, bridge_bound, complete_graph, contains_induced,
     cycle_spectrum, directed_cycle, directed_path, disjoint_union,
     enumerate_graphs, graph_union, hom_exists, homomorphic_image_closure,
-    make_cycle, make_path, multiples_property_check, oracle_chordal,
+    is_acyclic, make_cycle, make_path, multiples_property_check, oracle_chordal,
     oracle_k_colourable, orientations_of, overlap_contains,
     reduce_to_connected, verify_orientation, word_to_path,
 )
@@ -324,3 +324,52 @@ def test_colouring_and_chordal_oracles():
     from forbor import coupling
     assert oracle_chordal(coupling(3, 3))
     assert not oracle_chordal(coupling(3, 4))
+
+
+def test_verify_orientation_reads_the_orientation_itself():
+    # on every orientation of every graph on at most 5 vertices, the check on
+    # the Orientation equals the same check written out on its OrientedGraph
+    sets = (bip_forbidden(), ForbiddenSet((b1(),)), ForbiddenSet((p4(),)),
+            ForbiddenSet((b1(), disjoint_union(arc(), arc()))))
+    hits = {"induced": lambda h, d: contains_induced(h, d) is not None,
+            "hom": lambda h, d: hom_exists(h, d) is not None,
+            "overlap": overlap_contains}
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            for o in orientations_of(g):
+                d = o.oriented_graph()
+                acyclic = is_acyclic(d)
+                for F in sets:
+                    for containment, hit in hits.items():
+                        free = not any(hit(h, d) for h in F.members)
+                        for ac in (False, True):
+                            assert verify_orientation(o, F, SearchMode(containment, ac)) \
+                                == (free and (acyclic or not ac)), (o, F, containment, ac)
+
+
+def test_orientation_stream_builds_no_oriented_graph(monkeypatch):
+    F = bip_forbidden()
+    built = []
+    post_init = OrientedGraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(OrientedGraph, "__post_init__", counted)
+    streamed = 0
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            for o in orientations_of(g, acyclic_only=True):
+                verify_orientation(o, F, IND_AC)
+                streamed += 1
+    assert streamed and built == []
+
+
+def test_reduce_to_connected_refuses_bounds_outside_the_universe():
+    F = ForbiddenSet((b1(), disjoint_union(arc(), arc())))
+    for n_verify in (0, -2):
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            reduce_to_connected(F, n_verify)
+    with pytest.raises(ValueError, match=r"enumeration bound exceeded: 9 > 6"):
+        reduce_to_connected(F, 9)
