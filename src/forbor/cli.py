@@ -91,12 +91,7 @@ def _run_lang(args, texts):
         return ({"kmax": args.k_max, "nonconstant": args.nonconstant, "periods": ks},
                 ["periods " + " ".join(map(str, ks))])
     ps = period_structure(A, nonconstant_only=args.nonconstant)
-    result = {
-        "gcd_r": ps.gcd_r, "threshold_t0": ps.threshold_t0,
-        "exceptions": list(ps.exceptions), "transitive": ps.transitive,
-        "nonconstant_variant": ps.nonconstant_variant,
-        "observed": list(ps.observed), "verified_to": ps.verified_to,
-    }
+    result = dict(vars(ps))
     lines = [f"gcd_r {ps.gcd_r}", f"threshold_t0 {ps.threshold_t0}",
              f"exceptions {list(ps.exceptions)}", f"transitive {ps.transitive}"]
     return result, lines
@@ -174,23 +169,7 @@ def _run_duality_verify_gen(args, texts):
 def _run_holes(args, texts):
     spec = parse_hole_spec(texts[0])
     rep = trichotomy_verdict(spec, k_max=args.k_max)
-    checks = {
-        name: {"passed": c.passed, "rule": c.rule,
-               "witnesses": [list(w) if isinstance(w, tuple) else w
-                             for w in c.witnesses],
-               "threshold": c.threshold, "gcd_r": c.gcd_r, "note": c.note}
-        for name, c in rep.checks.items()
-    }
-    result = {
-        "cyc_sample": list(rep.cyc_sample),
-        "checks": checks,
-        "plain_not_expressible": rep.plain_not_expressible,
-        "plain_rules": list(rep.plain_rules),
-        "acyclic_not_expressible": rep.acyclic_not_expressible,
-        "acyclic_rules": list(rep.acyclic_rules),
-        "overall": list(rep.overall),
-        "notes": list(rep.notes),
-    }
+    result = {**vars(rep), "checks": {name: vars(c) for name, c in rep.checks.items()}}
     lines = [f"overall {' '.join(rep.overall)}"]
     for name, c in rep.checks.items():
         lines.append(f"{name} {'pass' if c.passed else 'FAIL ' + c.rule}")

@@ -80,9 +80,7 @@ def core_of(d: Digraph, limit: int = CORE_LIMIT) -> Digraph:
     """
     if d.n > limit:
         raise ValueError(f"core computation is exhaustive, capped at {limit} vertices")
-    if d.n == 0:
-        return d
-    for size in range(1, d.n + 1):
+    for size in range(d.n + 1):
         found = [induced_subdigraph(d, subset) for subset in combinations(range(d.n), size)
                  if _hom_images(d, d, sum(1 << v for v in subset), HOM_BUDGET) is not None]
         if found:

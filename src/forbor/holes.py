@@ -4,10 +4,12 @@ A hole is an induced cycle of length at least four; a hole-class spec
 describes the forbidden lengths C by a bounded membership sample plus a
 declared tail (finite / cofinite / odd tail / unstructured).  The checks
 here decide which necessary conditions for expressibility by forbidden
-(acyclic) orientations the class violates, and the trichotomy verdict
-assembles them.  Tail behaviour is always declared, never inferred: every
-verdict is a rule application, not an extrapolation, and passing classes
-are only ever reported as candidates.
+(acyclic) orientations the class violates, and the trichotomy verdict is
+read off the failed checks alone.  Tail behaviour is always declared,
+never inferred: every verdict is a rule application, not an extrapolation,
+and passing classes are only ever reported as candidates.  A declared
+variant's thresholds follow from its declaration; only a custom spec is
+sampled for them.
 """
 
 from __future__ import annotations
@@ -133,11 +135,20 @@ def _tail_threshold(spec: HoleClassSpec) -> int:
 
     A length departs when it is a declared member, or when its presence
     differs from the tail's (finite: every length present; odd tail:
-    exactly the even lengths present), at any k up to spec.bound.
+    exactly the even lengths present).  A declared variant departs only at
+    its members, and an odd tail from M also at the largest odd length
+    below M (present, where the tail forbids it) once that is at least 5,
+    so the threshold is a closed form however large M or a member is.  A
+    custom spec's predicate is known only by sampling, so its lengths are
+    read up to spec.bound.
     """
-    finite = spec.tail_kind() == "finite"
-    departing = [k for k in range(4, spec.bound + 1)
-                 if spec.forbids(k) == (finite or k % 2 == 0)]
+    if spec.variant == "custom":
+        finite = spec.tail_kind() == "finite"
+        departing = [k for k in range(4, spec.bound + 1)
+                     if spec.forbids(k) == (finite or k % 2 == 0)]
+    else:
+        last_odd = spec.threshold - 1 - spec.threshold % 2
+        departing = [last_odd] if spec.variant == "odd_tail" and last_odd >= 5 else []
     return max(departing + list(spec.members), default=3) + 1
 
 
@@ -153,13 +164,13 @@ def check_multiples_closure(spec: HoleClassSpec, k_max: int = 120) -> CheckResul
     tail = spec.tail_kind()
     if tail == "cofinite":
         return CheckResult(True, note="not applicable: finitely many cycle lengths")
-    k_max = min(k_max, spec.bound)
-    cyc = cycles_in_class(spec, k_max)
     if tail in ("finite", "odd_tail"):
         return CheckResult(True, threshold=_tail_threshold(spec),
                            note="beyond the threshold the declared tail keeps "
                                 "every present length's multiples present "
                                 "(threshold is sample-derived)")
+    k_max = min(k_max, spec.bound)
+    cyc = cycles_in_class(spec, k_max)
     m_cap = k_max // 3
     violations = sorted(
         (k, l * k) for k in cyc if k >= 4
@@ -207,7 +218,6 @@ def check_coupling_cofiniteness(spec: HoleClassSpec, k_max: int = 120) -> CheckR
     if tail == "cofinite":
         return CheckResult(True, note="not applicable: finitely many cycle "
                                       "lengths (see the infinite-cycles check)")
-    cyc = cycles_in_class(spec, min(k_max, spec.bound))
     if tail == "finite":
         return CheckResult(True, threshold=_tail_threshold(spec), gcd_r=1,
                            note="beyond the largest forbidden length every "
@@ -219,6 +229,7 @@ def check_coupling_cofiniteness(spec: HoleClassSpec, k_max: int = 120) -> CheckR
     # unstructured coinfinite tail: cofiniteness in rZ+ would force the
     # forbidden set to be eventually exactly the non-multiples of r,
     # which the declaration excludes
+    cyc = cycles_in_class(spec, min(k_max, spec.bound))
     sample = sorted(k for k in cyc if k >= 4)
     r = reduce(math.gcd, sample, 0)
     witnesses = ()
@@ -250,14 +261,16 @@ class ExpressibilityReport:
 def trichotomy_verdict(spec: HoleClassSpec, k_max: int = 120) -> ExpressibilityReport:
     """Classify a hole class against the expressibility trichotomy.
 
-    A finite or eventually-odd forbidden set passes both variants (as a
-    candidate only: the conditions are necessary, never sufficient, which
-    is why the vocabulary has no "Expressible").  A cofinite forbidden set
-    is ruled out for plain orientations but stays an acyclic candidate.
-    Every other declared tail is ruled out for both variants, with the
+    The verdict is read off the checks: any failed check rules out plain
+    orientations, and every failed check but the infinite-cycles one
+    (nofiniteC, the rule acyclic orientations escape) rules out acyclic
+    ones.  So a finite or eventually-odd forbidden set passes both variants
+    (as a candidate only: the conditions are necessary, never sufficient,
+    which is why the vocabulary has no "Expressible"), a cofinite one is
+    ruled out for plain orientations but stays an acyclic candidate, and
+    every other declared tail is ruled out for both variants, with the
     concrete failing condition attached.
     """
-    tail = spec.tail_kind()
     k_max = min(k_max, spec.bound)
     cyc = tuple(sorted(cycles_in_class(spec, k_max)))
     checks = {
@@ -265,32 +278,23 @@ def trichotomy_verdict(spec: HoleClassSpec, k_max: int = 120) -> ExpressibilityR
         "infinite_cycles": check_infinite_cycles(spec),
         "coupling_cofiniteness": check_coupling_cofiniteness(spec, k_max),
     }
-    failed = tuple(c.rule for c in checks.values() if not c.passed)
-    notes = []
-    if tail in ("finite", "odd_tail"):
-        plain, acyclic = False, False
-        plain_rules = acyclic_rules = ()
-        overall = (VERDICT_PASS,)
-        notes.append("necessary conditions hold; the class is a candidate, "
-                     "sufficiency is open")
-    elif tail == "cofinite":
-        plain, acyclic = True, False
-        plain_rules = (RULE_INFINITE_CYCLES, RULE_TRICHOTOMY_PLAIN)
-        acyclic_rules = ()
-        overall = (VERDICT_NOT_ANY,)
-        notes.append("cofinite forbidden set: ruled out for plain orientations, "
-                     "still a candidate for acyclic ones")
-    else:
-        plain, acyclic = True, True
-        plain_rules = failed + (RULE_TRICHOTOMY_PLAIN,)
-        acyclic_rules = failed + (RULE_TRICHOTOMY_ACYCLIC,)
+    plain = tuple(c.rule for c in checks.values() if not c.passed)
+    acyclic = tuple(rule for rule in plain if rule != RULE_INFINITE_CYCLES)
+    if acyclic:
         overall = (VERDICT_NOT_ANY, VERDICT_NOT_ACYCLIC)
-        notes.append("declared tail is neither finite, cofinite nor eventually "
-                     "odd, so both variants are ruled out")
-    if (bool(failed)) != (VERDICT_PASS not in overall):
-        raise AssertionError("sub-check outcomes disagree with the classification")
+        note = ("declared tail is neither finite, cofinite nor eventually "
+                "odd, so both variants are ruled out")
+    elif plain:
+        overall = (VERDICT_NOT_ANY,)
+        note = ("cofinite forbidden set: ruled out for plain orientations, "
+                "still a candidate for acyclic ones")
+    else:
+        overall = (VERDICT_PASS,)
+        note = "necessary conditions hold; the class is a candidate, sufficiency is open"
     return ExpressibilityReport(
         cyc_sample=cyc, checks=checks,
-        plain_not_expressible=plain, plain_rules=plain_rules,
-        acyclic_not_expressible=acyclic, acyclic_rules=acyclic_rules,
-        overall=overall, notes=tuple(notes))
+        plain_not_expressible=bool(plain),
+        plain_rules=plain + (RULE_TRICHOTOMY_PLAIN,) if plain else (),
+        acyclic_not_expressible=bool(acyclic),
+        acyclic_rules=acyclic + (RULE_TRICHOTOMY_ACYCLIC,) if acyclic else (),
+        overall=overall, notes=(note,))

@@ -8,8 +8,9 @@ import forbor
 from conftest import all_labelled_digraphs, arc, c3, first_hom_oracle, p3, tt3
 
 from forbor import (
-    Digraph, WorkBudgetExceeded, core_of, directed_cycle, directed_path,
-    disjoint_union, enumerate_digraphs, hom_exists, induced_subdigraph, is_hom_equivalent,
+    Digraph, Graph, HomWitness, OrientedGraph, WorkBudgetExceeded, core_of,
+    directed_cycle, directed_path, disjoint_union, enumerate_digraphs, hom_exists,
+    induced_subdigraph, is_hom_equivalent,
     is_isomorphic, is_oriented_forest, is_oriented_tree, known_duality_catalog,
     minimal_elements, transitive_tournament, verify_duality_pair,
     verify_generalized_duality,
@@ -23,6 +24,8 @@ def test_hom_exists_basics():
     assert w is not None and w.verify(tt3(), tt3())
     # directed path folds into a long enough cycle
     assert hom_exists(directed_path(3), directed_cycle(4)) is not None
+    # the empty digraph maps anywhere, by the empty map
+    assert hom_exists(Digraph(0), directed_path(2)) == HomWitness(())
 
 
 def test_hom_exists_exhaustive_check():
@@ -41,6 +44,8 @@ def test_hom_witnesses_compose():
     assert f and g
     composed = f.compose(g)
     assert composed.verify(arc(), tt3())
+    assert not HomWitness((0, 1)).verify(tt3(), tt3())         # wrong length
+    assert not HomWitness((0, 1, 3)).verify(tt3(), tt3())      # image out of range
 
 
 def test_hom_exists_on_long_source():
@@ -129,6 +134,10 @@ def test_core_of():
     assert is_isomorphic(core_of(doubled), directed_path(1))
     assert core_of(Digraph(1)).n == 1
     assert core_of(Digraph(0)) == Digraph(0)
+    # an empty graph gets its symmetric digraph core, like every other graph
+    assert type(core_of(Graph(0))) is Digraph and core_of(Graph(0)) == Digraph(0)
+    assert type(core_of(OrientedGraph(0))) is OrientedGraph
+    assert core_of(OrientedGraph(0)) == OrientedGraph(0)
     with pytest.raises(ValueError):
         core_of(Digraph(9))
 

@@ -116,6 +116,8 @@ def test_make_path():
     assert sorted(g.degree(v) for v in range(4)).count(1) == 2
     with pytest.raises(ValueError):
         make_path(-1)
+    with pytest.raises(ValueError, match="arc count must be >= 0"):
+        directed_path(-1)
 
 
 def test_make_cycle():
@@ -127,6 +129,10 @@ def test_make_cycle():
     assert all(make_cycle(5).degree(v) == 2 for v in range(5))
     with pytest.raises(ValueError):
         make_cycle(2)
+    with pytest.raises(ValueError, match="a directed cycle needs at least 3 arcs"):
+        directed_cycle(2)
+    with pytest.raises(ValueError, match="need at least one vertex"):
+        transitive_tournament(0)
 
 
 def test_coupling():

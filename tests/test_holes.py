@@ -1,4 +1,5 @@
 import warnings
+from itertools import combinations
 
 import pytest
 
@@ -200,3 +201,79 @@ def test_tail_thresholds_count_every_departing_length():
 def test_custom_spec_needs_declared_tail():
     with pytest.raises(ValueError):
         HoleClassSpec("custom", membership=is_prime, bound=200, tail="").tail_kind()
+
+
+def scanned_threshold(spec):
+    """The tail threshold as a scan of every length up to spec.bound finds it."""
+    finite = spec.tail_kind() == "finite"
+    departing = [k for k in range(4, spec.bound + 1)
+                 if spec.forbids(k) == (finite or k % 2 == 0)]
+    return max(departing + list(spec.members), default=3) + 1
+
+
+def test_declared_thresholds_match_the_scan():
+    pool = (4, 5, 6, 7, 9, 12, 20, 33)
+    specs = [HoleClassSpec.odd_tail(M, ex) for M in range(4, 61)
+             for ex in [()] + [(k,) for k in pool] + list(combinations(pool, 2))
+             if all(k < M for k in ex)]
+    specs += [HoleClassSpec.finite(ls) for size in range(4)
+              for ls in combinations(range(4, 61), size)]
+    for spec in specs:
+        want = scanned_threshold(spec)
+        assert check_multiples_closure(spec).threshold == want, spec
+        assert check_coupling_cofiniteness(spec).threshold == want, spec
+
+
+def test_declared_thresholds_read_only_the_sample(monkeypatch):
+    # a huge declared threshold or member costs no scan up to the spec's bound
+    calls = []
+    forbids = HoleClassSpec.forbids
+
+    def counted(self, k):
+        calls.append(k)
+        assert len(calls) <= 120 - 3, "lengths read beyond the k_max sample"
+        return forbids(self, k)
+
+    monkeypatch.setattr(HoleClassSpec, "forbids", counted)
+    for spec, threshold in ((HoleClassSpec.odd_tail(10 ** 9), 10 ** 9),
+                            (HoleClassSpec.finite([5, 10 ** 9]), 10 ** 9 + 1)):
+        calls.clear()
+        rep = trichotomy_verdict(spec)
+        assert rep.overall == ("NecessaryConditionsPass",)
+        assert rep.checks["multiples_closure"].threshold == threshold
+        assert rep.checks["coupling_cofiniteness"].threshold == threshold
+
+
+def dispatched_verdict(spec, checks):
+    """(overall, plain_rules, acyclic_rules, notes) by the declared tail."""
+    failed = tuple(c.rule for c in checks.values() if not c.passed)
+    tail = spec.tail_kind()
+    if tail in ("finite", "odd_tail"):
+        return (("NecessaryConditionsPass",), (), (),
+                ("necessary conditions hold; the class is a candidate, "
+                 "sufficiency is open",))
+    if tail == "cofinite":
+        return (("NotExpressibleAny",), ("nofiniteC", "thm:main"), (),
+                ("cofinite forbidden set: ruled out for plain orientations, "
+                 "still a candidate for acyclic ones",))
+    return (("NotExpressibleAny", "NotExpressibleAcyclic"), failed + ("thm:main",),
+            failed + ("thm:main*",),
+            ("declared tail is neither finite, cofinite nor eventually odd, "
+             "so both variants are ruled out",))
+
+
+def test_verdict_matches_the_tail_dispatch():
+    specs = [HoleClassSpec.finite([]), HoleClassSpec.finite([5, 9]),
+             HoleClassSpec.cofinite_complement([]), HoleClassSpec.cofinite_complement([4, 6]),
+             HoleClassSpec.odd_tail(4), HoleClassSpec.odd_tail(7, [4]),
+             HoleClassSpec.odd_tail(15, [5, 12])]
+    predicates = (is_prime, lambda k: k % 2 == 0, {8}.__contains__, lambda k: k % 3 == 0)
+    specs += [HoleClassSpec.custom(p, tail) for p in predicates
+              for tail in ("finite", "cofinite", "odd_tail", "other")]
+    for spec in specs:
+        for k_max in (12, 30, 120):
+            rep = trichotomy_verdict(spec, k_max)
+            assert (rep.overall, rep.plain_rules, rep.acyclic_rules, rep.notes) \
+                == dispatched_verdict(spec, rep.checks)
+            assert rep.plain_not_expressible == (rep.plain_rules != ())
+            assert rep.acyclic_not_expressible == (rep.acyclic_rules != ())

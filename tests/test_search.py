@@ -3,7 +3,7 @@ import pytest
 from conftest import arc, b1, c3, iso_oracle, p3, p4, tt3
 
 from forbor import (
-    ForbiddenSet, Graph, OrientedGraph, SearchMode, WorkBudgetExceeded,
+    Digraph, ForbiddenSet, Graph, OrientedGraph, SearchMode, WorkBudgetExceeded,
     admits_orientation, bridge_bound, complete_graph, contains_induced,
     cycle_spectrum, directed_cycle, directed_path, disjoint_union,
     enumerate_graphs, graph_union, hom_exists, homomorphic_image_closure,
@@ -31,6 +31,11 @@ def test_forbidden_set_normalizes():
     assert not ForbiddenSet((disjoint_union(arc(), arc()),)).all_connected
     with pytest.raises(ValueError):
         ForbiddenSet((OrientedGraph(0),))
+    plain = ForbiddenSet((Digraph(2, frozenset({(0, 1)})),))
+    assert [type(h) for h in plain.members] == [OrientedGraph]
+    with pytest.raises(ValueError) as caught:
+        ForbiddenSet((Digraph(2, frozenset({(0, 1), (1, 0)})),))
+    assert str(caught.value) == "symmetric arc pair between 0 and 1"
     with pytest.raises(ValueError):
         SearchMode("weird")
 
@@ -148,6 +153,8 @@ def test_cycle_spectrum_b1():
 def test_cycle_spectrum_rejects_disconnected_members():
     with pytest.raises(ValueError):
         cycle_spectrum(ForbiddenSet((disjoint_union(arc(), arc()),)), 4, 8)
+    with pytest.raises(ValueError, match="cycles have at least 3 edges"):
+        cycle_spectrum(bip_forbidden(), 2, 5)
 
 
 def test_cycle_spectrum_single_vertex_member():

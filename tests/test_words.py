@@ -74,6 +74,8 @@ def test_factor_set_normalization():
     A = FactorSet(frozenset({">>", "<<", ">><"}))
     assert A.members == {">>", "<<"}
     assert FactorSet(frozenset({">", ">>", "<><"})).members == {">"}
+    B = FactorSet(frozenset({"<<", "><", ">>", "><<"}))
+    assert list(B) == ["<<", "><", ">>"] and len(B) == 3
     with pytest.raises(ValueError):
         FactorSet(frozenset({""}))
     with pytest.raises(ValueError):
@@ -196,6 +198,8 @@ def test_periodic_word_witnesses():
     assert is_periodic(w, AF_BIP)
     assert periodic_word(AF_BIP, 5) is None
     assert periodic_word(FactorSet(frozenset({">"})), 3) == "<<<"
+    with pytest.raises(ValueError, match="period length must be >= 1"):
+        periodic_word(AF_BIP, 0)
 
 
 def test_has_free_word():
