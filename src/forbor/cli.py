@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .duality import core_of, hom_exists, verify_generalized_duality
+from .graphs import ENUM_LIMIT
 from .holes import trichotomy_verdict
 from .io import (
     digraph_to_json, digraph_to_text, parse_digraph, parse_digraph_blocks,
@@ -291,6 +292,8 @@ def run(argv) -> tuple[int, str]:
             raise CliError("jobs must be at least 1")
         if args.k_min > args.k_max:
             raise CliError("empty range")
+        if not 1 <= args.n <= ENUM_LIMIT:
+            raise CliError(f"--n must be between 1 and {ENUM_LIMIT}, got {args.n}")
         texts = tuple(_read(getattr(args, name)) for name in args.inputs)
         result, lines = args.handler(args, texts)
     except (CliError, ValueError) as e:

@@ -544,12 +544,12 @@ def canonical_form(d: Digraph) -> Digraph:
     """
     colours = _refined_colours(d)
     perms = 1
-    for s in Counter(colours).values():
-        perms *= math.factorial(s)
+    for k in chain.from_iterable(range(2, s + 1) for s in Counter(colours).values()):
+        perms *= k
         if perms > CANON_PERM_BUDGET:
             raise ValueError(
-                f"canonical form would scan {perms}+ permutations; "
-                f"exhaustive search is capped at {CANON_PERM_BUDGET}")
+                f"canonical form of a digraph on {d.n} vertices would scan more "
+                f"than {CANON_PERM_BUDGET} permutations")
     best = None
     for perm in _class_respecting_permutations(colours):
         arcs = tuple(sorted((perm[u], perm[v]) for u, v in d.arcs))
@@ -586,24 +586,32 @@ def _orbit_minima(n, slots):
     generation (Read, "Every one a winner", 1978) rests on one lemma: if m
     is the least mask of its orbit, so is m with its lowest zero bit set
     (Read's lemma, applied to the complement).  Every minimum but the full
-    mask thus has exactly one parent, and a descent from the full mask
-    that clears one set bit below the lowest zero bit, keeping only
-    minima, meets each minimum once.
+    mask thus has one parent, and a descent from the full mask that clears
+    a set bit z below the lowest zero bit, keeping only minima, meets each
+    minimum once.  As p(parent ^ bit z) = p(parent) ^ p(bit z), a child's
+    images are its parent's xor cols[z].  A mask's n! images are packed in
+    one integer, a field per permutation with a guard bit on top, and
+    subtracting m from every guarded field leaves each guard set exactly
+    when its image is at least m.  The stack holds (parent, images, z) for
+    each pending child, so it keeps the images of the descent path only.
     """
+    width = len(slots) + 1
     index = {p: i for i, p in enumerate(slots)}
-    moves = [[1 << index.get((p[u], p[v]), index.get((p[v], p[u]))) for u, v in slots]
-             for p in permutations(range(n))]
+    field = [f"{1 << i:0{width}b}" for i in range(width)]
+    cols = [int("".join(field[index.get((p[u], p[v]), index.get((p[v], p[u])))]
+                        for p in permutations(range(n))), 2) for u, v in slots]
+    ones = int(field[0] * math.factorial(n), 2)
+    guards = ones << width - 1
     full = (1 << len(slots)) - 1
     found = [full]
-    stack = [full]
+    stack = [(full, full * ones, z) for z in range(len(slots))]
     while stack:
-        parent = stack.pop()
-        for z in range((~parent & parent + 1).bit_length() - 1):
-            m = parent ^ 1 << z
-            bits = _bits(m)
-            if all(sum(map(move.__getitem__, bits)) >= m for move in moves):
-                found.append(m)
-                stack.append(m)
+        parent, images, z = stack.pop()
+        m = parent ^ 1 << z
+        child = images ^ cols[z]
+        if ((child | guards) - m * ones) & guards == guards:
+            found.append(m)
+            stack.extend((m, child, low) for low in range(z))
     return sorted(found)
 
 

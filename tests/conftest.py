@@ -112,17 +112,27 @@ def all_labelled_digraphs(n):
         yield Digraph(n, frozenset(s for s, b in zip(slots, bits) if b))
 
 
-def orbit_minima_oracle(n, slots):
-    """Masks over slots (bit i stands for the vertex pair slots[i]) that no
-    vertex permutation makes smaller, ascending, by raw permutation search
-    over every labelled mask.  A pair missing from slots is looked up
-    reversed, so undirected slots list each edge once."""
+def relabelling_moves(n, slots):
+    """For each vertex permutation p, the slot index of p's image of each
+    slot (bit i of a mask stands for the vertex pair slots[i]).  A pair
+    missing from slots is looked up reversed, so undirected slots list
+    each edge once."""
     index = {s: i for i, s in enumerate(slots)}
-    moves = [[index.get((p[u], p[v]), index.get((p[v], p[u]))) for u, v in slots]
-             for p in permutations(range(n))]
-    return [m for m in range(1 << len(slots))
-            if all(sum(1 << move[i] for i in range(len(slots)) if m >> i & 1) >= m
-                   for move in moves)]
+    return [[index.get((p[u], p[v]), index.get((p[v], p[u]))) for u, v in slots]
+            for p in permutations(range(n))]
+
+
+def least_relabelling_oracle(moves, m):
+    """The least of mask m's images under every permutation of moves
+    (relabelling_moves), each image rebuilt bit by bit."""
+    return min(sum(1 << move[i] for i in range(len(move)) if m >> i & 1) for move in moves)
+
+
+def orbit_minima_oracle(n, slots):
+    """Masks over slots that no vertex permutation makes smaller, ascending,
+    by raw permutation search over every labelled mask (relabelling_moves)."""
+    moves = relabelling_moves(n, slots)
+    return [m for m in range(1 << len(slots)) if least_relabelling_oracle(moves, m) == m]
 
 
 def first_hom_oracle(d1, d2):

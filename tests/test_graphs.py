@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -10,7 +11,8 @@ import pytest
 import forbor
 from conftest import all_labelled_digraphs, iso_oracle, max_independent_set, induced_cycle_lengths
 from conftest import first_hom_oracle, graph_iso_oracle, induced_embeddings_oracle
-from conftest import orbit_minima_oracle, topological_order_oracle
+from conftest import least_relabelling_oracle, orbit_minima_oracle, relabelling_moves
+from conftest import topological_order_oracle
 from conftest import arc, b1, c3, p3, tt3
 
 from forbor import (
@@ -328,6 +330,42 @@ def test_universes_are_orbit_minima_in_mask_order():
         slots = list(combinations(range(n), 2))
         assert [_mask(slots, g.edges) for g in enumerate_graphs(n)] == \
             orbit_minima_oracle(n, slots)
+
+
+def test_sampled_digraphs_on_five_vertices_reduce_to_universe_members():
+    """The n <= 4 oracle above scans every labelled mask; on 5 vertices a
+    seeded sample of labelled digraphs, half of them oriented, is
+    relabelled all 120 ways, and its least mask must be a universe member
+    (an oriented one when the digraph is oriented).  A sample of members
+    must each be the least mask of its own orbit."""
+    rng = random.Random(5)
+    slots = [(u, v) for u in range(5) for v in range(5) if u != v]
+    moves = relabelling_moves(5, slots)
+    minima = {_mask(slots, d.arcs) for d in enumerate_digraphs(5)}
+    oriented = {_mask(slots, d.arcs) for d in enumerate_digraphs(5, oriented_only=True)}
+    for i in range(300):
+        density = rng.random()
+        if i % 2:
+            pairs = [rng.choice(((u, v), (v, u))) for u, v in combinations(range(5), 2)
+                     if rng.random() < density]
+        else:
+            pairs = [s for s in slots if rng.random() < density]
+        least = least_relabelling_oracle(moves, _mask(slots, pairs))
+        assert least in (oriented if i % 2 else minima)
+    for m in rng.sample(sorted(minima), 200):
+        assert least_relabelling_oracle(moves, m) == m
+
+
+#: sha256 of the graphs on 7 vertices in order, pinned from the build that
+#: tested every candidate against every permutation from scratch
+GRAPHS_7_SHA256 = "fce189ac82f43cb1d408e8ea9bedd5cc1a8687eea30b53138d3ad11e9320c492"
+
+
+def test_seven_vertex_graph_universe_is_pinned():
+    graphs = enumerate_graphs(7, limit=7)
+    assert len(graphs) == 1044
+    rows = [repr(("Graph", g.n, g.sorted_edges())) for g in graphs]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == GRAPHS_7_SHA256
 
 
 #: sha256 of every universe member in order (graphs on 1..6 vertices, then

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from forbor import OrientedGraph, verify_orientation, ForbiddenSet, SearchMode
+from forbor import Digraph, OrientedGraph, verify_orientation, ForbiddenSet, SearchMode
 from forbor.cli import run
 from forbor.io import (
     FormatError, digraph_to_text, graph_to_text, parse_digraph,
@@ -440,9 +440,9 @@ def test_cli_reports_are_pinned(tmp_path, name, argv, fmt):
     ([], 1, ""),
     (["duality"], 1, ""),
     (["duality", "verify", "-A", "@c3.dig", "-B", "@tt2.dig", "--n", "-2"], 1,
-     "error: need at least one vertex"),
+     "error: --n must be between 1 and 5, got -2"),
     (["duality", "verify", "-A", "@c3.dig", "-B", "@tt2.dig", "--n", "9"], 1,
-     "error: enumeration bound exceeded: 9 > 5"),
+     "error: --n must be between 1 and 5, got 9"),
 ], ids=["unreadable", "bad_range", "empty_range", "lang_kmax_negative", "lang_kmax_zero",
         "holes_kmax_negative", "holes_kmax_zero", "budget_zero", "jobs_zero",
         "translate_non_word", "translate_non_path", "parse_error", "budget_exhausted",
@@ -452,6 +452,17 @@ def test_cli_errors_are_pinned(tmp_path, capsys, argv, status, message):
     argv = _golden_argv(tmp_path, argv)
     message = message.replace("@", str(tmp_path) + "/")
     assert run(argv) == (status, message)
+
+
+def test_canonical_form_refusal_names_the_order(tmp_path):
+    with pytest.raises(ValueError) as e:
+        ForbiddenSet((Digraph(3000),))
+    assert str(e.value) == ("canonical form of a digraph on 3000 vertices would scan "
+                            "more than 1000000 permutations")
+    (tmp_path / "big.dig").write_text("digraph 100000\n")
+    assert run(["spectrum", "-F", str(tmp_path / "big.dig"), "--range", "4..6"]) == (
+        1, "error: canonical form of a digraph on 100000 vertices would scan "
+           "more than 1000000 permutations")
 
 
 def test_cli_long_word_report_is_pinned():
