@@ -3,10 +3,11 @@
 Every subcommand reads the text formats from the io module and emits a
 stable JSON report {tool_version, subcommand, inputs_digest, result}
 (or a plain-text rendering with --format text).  Exit status: 0 computed,
-1 usage or format error, 2 work budget exceeded.  A reader that closes the
-output early (`| head`) gets exit status 1 and no traceback.  The CLI is
-fully deterministic; all randomized property testing lives in the test
-suite.
+1 usage or format error, 2 work budget exceeded, 3 internal error (any
+other exception, reported as one line with its type).  A reader that
+closes the output early (`| head`) gets exit status 1 and no traceback.
+The CLI is fully deterministic; all randomized property testing lives in
+the test suite.
 """
 
 from __future__ import annotations
@@ -300,6 +301,8 @@ def run(argv) -> tuple[int, str]:
         return 1, f"error: {e}"
     except WorkBudgetExceeded as e:
         return 2, f"work budget exceeded: {e}"
+    except Exception as e:
+        return 3, f"error: internal: {type(e).__name__}: {e}"
     if args.out_format == "text":
         return 0, "\n".join(lines)
     digest_parts = [args.subcommand, args.word, args.query,

@@ -8,9 +8,10 @@ refinement and individualisation search, and small universes of
 isomorphism classes, one orbit-minimum representative each by orderly
 generation.  _embed is the one backtracking kernel: containment,
 isomorphism, the orientation search, homomorphisms and cores all run on
-it.  Its tables (_Tables) read only n and arcs, and a graph's arcs are
-both directions of each edge, so every kernel entry point takes a Graph,
-Digraph or Orientation as it is.  It needs only the standard library.
+it.  Its tables (_Tables) read n and arcs, and a graph's arcs are both
+directions of each edge, so every kernel entry point takes a Graph,
+Digraph or Orientation as it is; an orientation shares its base graph's
+adjacency, non-adjacency and degrees.  It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _closure(adj, mask):
 
 
 class _Tables:
-    """The kernels' per-value tables, read from n and arcs alone and built once."""
+    """The kernels' per-value tables, read from n and arcs and built once."""
 
     @cached_property
     def _adj(self):
@@ -79,7 +80,26 @@ class _Tables:
         for u, v in self.arcs:
             out[u] |= 1 << v
             inn[v] |= 1 << u
-        return tuple(out), tuple(inn), tuple(map(int.__or__, out, inn))
+        return tuple(out), tuple(inn), self._neighbours(out, inn)
+
+    def _neighbours(self, out, inn):
+        return tuple(map(int.__or__, out, inn))
+
+    @cached_property
+    def _host(self):
+        """contains_induced's host: per vertex, the vertices in relations 0-3 to it."""
+        out, inn, nbr = self._adj
+        full = (1 << self.n) - 1
+        return (tuple(full & ~m & ~(1 << b) for b, m in enumerate(nbr)),
+                tuple(i & ~o for o, i in zip(out, inn)),
+                tuple(o & ~i for o, i in zip(out, inn)), tuple(map(int.__and__, out, inn)))
+
+    @cached_property
+    def _at_least(self):
+        """Per degree k to the greatest plus one, the vertices of degree at least k."""
+        degree = list(map(int.bit_count, self._adj[2]))
+        return tuple(sum(1 << v for v, j in enumerate(degree) if j >= k)
+                     for k in range(max(degree, default=0) + 2))
 
     @cached_property
     def _order(self):
@@ -213,6 +233,17 @@ class Orientation(_Tables):
         """The base graph's order: the kernels read the arcs on its vertices."""
         return self.base.n
 
+    # an orientation keeps its base graph's adjacency, non-adjacency
+    # (relation 0) and degrees; with no digons, in and out are relations 1, 2
+    def _neighbours(self, out, inn):
+        return self.base._adj[2]
+
+    @cached_property
+    def _host(self):
+        return self.base._host[0], self._adj[1], self._adj[0], (0,) * self.n
+
+    _at_least = property(lambda self: self.base._at_least)
+
     def direction(self, u, v):
         """The oriented arc carried by edge {u, v}."""
         if (u, v) in self.arcs:
@@ -333,23 +364,11 @@ def induced_subgraph(g: Graph, vertices):
 # containment, orientation enumeration, acyclicity, girth
 
 
-def _allowed(h: Digraph, nbr):
-    """Per vertex of h, the mask of host vertices of at least its underlying degree.
-
-    nbr holds the host's neighbour masks.  A vertex of degree at most the
-    host's least degree gets the full mask without a scan.
-    """
-    degree = list(map(int.bit_count, nbr))
-    least = min(degree, default=0)
-    full = (1 << len(nbr)) - 1
-    return [full if k <= least else sum(1 << a for a, j in enumerate(degree) if j >= k)
-            for k in map(int.bit_count, h._adj[2])]
-
-
-def _non_adjacent(nbr):
-    """Per vertex, the other vertices not adjacent to it."""
-    full = (1 << len(nbr)) - 1
-    return [full & ~m & ~(1 << b) for b, m in enumerate(nbr)]
+def _allowed(h: Digraph, d: Digraph):
+    """Per vertex of h, the mask of d's vertices of at least its underlying
+    degree, read from d._at_least."""
+    at = d._at_least
+    return [at[k] if k < len(at) else 0 for k in map(int.bit_count, h._adj[2])]
 
 
 def _placement_checks(d: Digraph, order, every=True):
@@ -428,15 +447,13 @@ def contains_induced(h: Digraph, d: Digraph):
     Returns the first embedding found (vertices of h assigned in decreasing
     degree order, images tried in ascending order) or None.  The image's
     induced subdigraph of d is exactly isomorphic to h: arcs and non-arcs
-    both have to match.
+    both have to match.  It reads d's relations (_host) and degree masks
+    (_at_least), built once per value, and an orientation's once per base.
     """
     if h.n > d.n:
         return None
-    out, inn, nbr = d._adj
-    host = (_non_adjacent(nbr), [i & ~o for o, i in zip(out, inn)],
-            [o & ~i for o, i in zip(out, inn)], [o & i for o, i in zip(out, inn)])
-    allowed = _allowed(h, nbr)
-    images = _embed(host, h._checks, [allowed[x] for x in h._order])
+    allowed = _allowed(h, d)
+    images = _embed(d._host, h._checks, [allowed[x] for x in h._order])
     return None if images is None else dict(zip(h._order, images))
 
 

@@ -26,8 +26,8 @@ from itertools import product
 from .duality import hom_exists
 from .graphs import (
     Graph, OrientedGraph, Orientation, WorkBudgetExceeded, _allowed, _closure, _embed,
-    _non_adjacent, _placement_checks, canonical_form, connected_components,
-    contains_induced, enumerate_graphs, induced_subdigraph, is_acyclic, make_cycle,
+    _placement_checks, canonical_form, connected_components, contains_induced,
+    enumerate_graphs, induced_subdigraph, is_acyclic, make_cycle,
 )
 from .words import enumerate_periods, forbidden_factor_set
 
@@ -163,10 +163,10 @@ def _prepare(h: OrientedGraph, g: Graph, hom: bool):
     land on a fresh arc u -> v.  A pin holds the domains of x and y, the
     _embed checks for placing x, y, then the rest of h._order, and the
     rest's domains.  Containment checks every later position (relation 0
-    constrains too), and its domains are graphs._allowed's degree filter on
-    g, shared with contains_induced, since an orientation keeps g's
-    degrees.  A hom may fold h anywhere, so hom mode checks adjacent
-    positions only, as hom_exists does, with no degree filter.
+    constrains too), and its domains are graphs._allowed's degree filter,
+    read from g._at_least, which an orientation of g shares with g, as
+    contains_induced reads it.  A hom may fold h anywhere, so hom mode
+    checks adjacent positions only, as hom_exists does, with no degree filter.
 
     Hom mode may prune as soon as h maps into the decided arcs: such a map
     stays a map in every completion, and a map that is new once u -> v is
@@ -174,7 +174,7 @@ def _prepare(h: OrientedGraph, g: Graph, hom: bool):
     undecided, so the leaf's test is hom_exists on the orientation.
     """
     order, out = h._order, h._adj[0]
-    allowed = [(1 << g.n) - 1] * h.n if hom else _allowed(h, g._adj[2])
+    allowed = [(1 << g.n) - 1] * h.n if hom else _allowed(h, g)
     pins = []
     for x in order:
         for y in order:
@@ -225,10 +225,10 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
     arcdir = {}
     # decided arcs as per-vertex masks; the host, in the kernel's relation
     # order, shares the in and out lists, so it sees the partial orientation
-    # (hom checks never read relation 0)
+    # (relation 0 is g's own, as the witness's; hom checks never read it)
     out = [0] * g.n
     inn = [0] * g.n
-    host = (_non_adjacent(g._adj[2]), inn, out)
+    host = (g._host[0], inn, out)
     work = 0
 
     # components with no arcs embed without any decided edge, on vertices

@@ -66,6 +66,16 @@ def induced_embeddings_oracle(h, d):
     return out
 
 
+def allowed_oracle(h, nbr):
+    """graphs._allowed as it was before degree masks were cached: per vertex
+    of h, the host vertices (neighbour masks nbr) of at least its degree."""
+    degree = list(map(int.bit_count, nbr))
+    least = min(degree, default=0)
+    full = (1 << len(nbr)) - 1
+    return [full if k <= least else sum(1 << a for a, j in enumerate(degree) if j >= k)
+            for k in map(int.bit_count, h._adj[2])]
+
+
 def topological_order_oracle(d):
     """A vertex order putting every arc of d forward, or None.
 

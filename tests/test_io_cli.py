@@ -291,6 +291,17 @@ def test_cli_exit_codes(tmp_path):
     assert status == 1 and "line 1" in out
 
 
+@pytest.mark.parametrize("error", [RuntimeError("lost"), AssertionError("witness failed")])
+def test_cli_internal_error_is_one_line_with_status_3(monkeypatch, error):
+    """An exception outside the documented failures exits 3 with one line."""
+    def broken(word):
+        raise error
+
+    monkeypatch.setattr("forbor.cli.word_to_path", broken)
+    status, out = run(["translate", "><"])
+    assert (status, out) == (3, f"error: internal: {type(error).__name__}: {error}")
+
+
 def test_cli_text_format(tmp_path):
     f = tmp_path / "A.txt"
     f.write_text(">>\n<<\n")

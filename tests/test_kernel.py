@@ -7,13 +7,15 @@ hom_exists's first maps and work counts are gated in test_duality.py.
 """
 
 import json
+from itertools import product
 
-from conftest import induced_embeddings_oracle
+from conftest import allowed_oracle, induced_embeddings_oracle
 
 from forbor import (
-    Digraph, Graph, OrientedGraph, contains_induced, coupling, directed_cycle, directed_path,
-    disjoint_union, enumerate_digraphs, make_cycle, transitive_tournament,
-    word_to_path,
+    Digraph, ForbiddenSet, Graph, Orientation, OrientedGraph, SearchMode,
+    admits_orientation, contains_induced, coupling, directed_cycle, directed_path,
+    disjoint_union, enumerate_digraphs, enumerate_graphs, make_cycle, make_path,
+    orientations_of, transitive_tournament, verify_orientation, word_to_path,
 )
 from forbor.cli import run
 from forbor.graphs import _allowed
@@ -144,7 +146,7 @@ def test_contains_induced_first_map_agrees_with_oracle_on_random_pairs(rng):
             vs = rng.sample(range(n), k)
             h = Digraph(k, frozenset((vs.index(u), vs.index(v)) for u, v in host.arcs
                                      if u in vs and v in vs))
-        pruned += any(m != (1 << n) - 1 for m in _allowed(h, host._adj[2]))
+        pruned += any(m != (1 << n) - 1 for m in _allowed(h, host))
         digons += any((v, u) in host.arcs for u, v in host.arcs)
         got = contains_induced(h, host)
         every = induced_embeddings_oracle(h, host)
@@ -155,3 +157,74 @@ def test_contains_induced_first_map_agrees_with_oracle_on_random_pairs(rng):
         found += 1
         assert got == min(every, key=lambda m: [m[x] for x in order]) and list(got) == order
     assert pruned >= 20 and found >= 30 and digons >= 30
+
+
+ORIENTED_4 = [h for n in range(1, 5) for h in enumerate_digraphs(n, oriented_only=True)]
+MODES = [SearchMode(c, a) for c, a in product(("induced", "hom", "overlap"), (False, True))]
+
+
+def shared_table_cases(rng):
+    """Every orientation of every graph class on <= 5 vertices, then one
+    seeded random orientation each of 60 random graphs on 6-10 vertices."""
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            yield from orientations_of(g)
+    for _ in range(60):
+        n = rng.randint(6, 10)
+        g = Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < 0.4))
+        yield Orientation(g, frozenset((u, v) if rng.random() < 0.5 else (v, u)
+                                       for u, v in g.edges))
+
+
+def test_orientation_tables_match_the_generic_route(rng):
+    """An orientation's tables, shared with its base graph, equal those a
+    Digraph on the same arcs builds from its arcs alone."""
+    seen = 0
+    for o in shared_table_cases(rng):
+        d = Digraph(o.n, o.arcs)
+        assert o._adj == d._adj and o._host == d._host and o._at_least == d._at_least
+        assert o._adj[2] is o.base._adj[2] and o._host[0] is o.base._host[0]
+        seen += 1
+    assert seen > 3000
+
+
+def test_orientation_containment_matches_the_generic_route(rng):
+    """First embeddings of every oriented graph on <= 4 vertices, and
+    verify_orientation in every mode, on an orientation and on the Digraph
+    with its arcs."""
+    fsets = [ForbiddenSet((directed_path(2),)), ForbiddenSet((transitive_tournament(3),)),
+             ForbiddenSet((word_to_path("<>"), disjoint_union(directed_path(1),
+                                                               directed_path(1)))),
+             ForbiddenSet((directed_cycle(3), word_to_path(">><")))]
+    verdicts = set()
+    for o in shared_table_cases(rng):
+        d = Digraph(o.n, o.arcs)
+        for h in ORIENTED_4:
+            assert contains_induced(h, o) == contains_induced(h, d)
+        for F, mode in product(fsets, MODES):
+            verdict = verify_orientation(o, F, mode)
+            assert verdict == verify_orientation(d, F, mode)
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+def test_allowed_matches_the_formula_it_replaced():
+    """The degree filter from cached degree masks equals the per-call scan,
+    for every digraph on <= 4 vertices against every universe class."""
+    patterns = [h for n in range(1, 5) for h in enumerate_digraphs(n)]
+    hosts = ([g for n in range(1, 7) for g in enumerate_graphs(n)]
+             + [d for n in range(1, 5) for d in enumerate_digraphs(n)])
+    for d in hosts:
+        for h in patterns:
+            assert _allowed(h, d) == allowed_oracle(h, d._adj[2])
+
+
+def test_witness_shares_the_searched_graphs_relation_0():
+    """The search's non-adjacency table is the graph's, and the witness's
+    re-verification reads that same table."""
+    F = ForbiddenSet((directed_path(2),))
+    for g in (make_path(4), make_cycle(6), cube()):
+        for containment in ("induced", "hom", "overlap"):
+            verdict = admits_orientation(g, F, SearchMode(containment))
+            assert verdict.admits and verdict.witness._host[0] is g._host[0]
