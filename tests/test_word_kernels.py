@@ -67,8 +67,8 @@ def test_cli_lang_transitive_on_long_constant_factors(tmp_path):
 #: sha256 of the word layer's outputs on criterion 3's exhaustive pool and
 #: {>^L, <^L} for L = 2..10: the automaton's states in order, periodic_word
 #: for k <= 8 and every period_structure field, both variants.  Pins the
-#: breadth-first state order, the witness order, the certified threshold
-#: and verified_to.
+#: breadth-first state order, the witness order, the structure read off
+#: the walk recurrence's first repeat and verified_to.
 WORD_LAYER_SHA256 = "37914b898d51ab69784440e06d12e43ab129d7c43faf6b9f87188507586dcc25"
 
 
@@ -101,6 +101,32 @@ def test_period_structure_makes_one_scc_pass_and_one_walk_pass(monkeypatch):
     for nc in (False, True):
         period_structure(A, nc)
     assert calls == {"_kosaraju_sccs": 1, "_closed_walks": 2, "enumerate_periods": 0}
+
+
+def test_period_structure_stops_at_the_first_repeat(monkeypatch):
+    # the structure is read off the recurrence's first repeated state, well
+    # before the 300 lengths that the observed sample reports
+    closed_walks = words._closed_walks
+    drawn = []
+
+    def counted(A, nonconstant):
+        for step in closed_walks(A, nonconstant):
+            drawn[-1] += 1
+            yield step
+
+    monkeypatch.setattr(words, "_closed_walks", counted)
+    rng = random.Random(424242)  # criterion 3's pool: exhaustive and random
+    pool4 = ["".join(p) for L in (1, 2, 3, 4) for p in product("><", repeat=L)]
+    crit3 = all_small_factor_sets() + [
+        FactorSet(frozenset(rng.sample(pool4, rng.randint(0, 5)))) for _ in range(100)]
+    pool = [FactorSet(frozenset({">" * L, "<" * L})) for L in range(2, 11)]
+    assert all(is_transitive(A) for A in pool)
+    for A in pool + [A for A in crit3 if is_transitive(A)]:
+        for nc in (False, True):
+            drawn.append(0)
+            ps = period_structure(A, nc)
+            assert 0 < drawn[-1] < 300, (sorted(A.members), nc, drawn[-1])
+            assert ps.verified_to == 300
 
 
 def test_sccs_are_the_mutual_reachability_classes():

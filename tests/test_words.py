@@ -241,3 +241,13 @@ def test_period_structure_nontransitive_reports_data_only():
     assert ps.observed == tuple(range(1, 301))  # powers of '<'
     with pytest.raises(ValueError):
         ps.contains(4)
+
+
+def test_period_structure_refuses_a_verify_to_below_one():
+    # one check before either branch, naming the caller's parameter
+    transitive = FactorSet(frozenset({">>>", "<<<"}))
+    not_transitive = FactorSet(frozenset({"><", "<>", ">>"}))
+    assert is_transitive(transitive) and not is_transitive(not_transitive)
+    for A in (transitive, not_transitive):
+        with pytest.raises(ValueError, match="verify_to must be >= 1"):
+            period_structure(A, verify_to=0)
