@@ -109,6 +109,7 @@ def parse_hole_spec(text: str) -> HoleClassSpec:
     members (comma-separated lengths), M (odd-tail threshold), exceptions,
     tail (finite | cofinite | odd_tail | coinfinite), bound.  A custom
     variant interprets `members` as the forbidden lengths within `bound`.
+    Any other key, or a key given twice, is a FormatError.
     """
     fields = {}
     for i, line in _clean_lines(text):
@@ -118,6 +119,10 @@ def parse_hole_spec(text: str) -> HoleClassSpec:
             if "=" not in tok:
                 raise FormatError(f"line {i}: expected key=value, got {tok!r}")
             key, value = tok.split("=", 1)
+            if key not in ("variant", "members", "M", "exceptions", "tail", "bound"):
+                raise FormatError(f"line {i}: unknown key {key!r}")
+            if key in fields:
+                raise FormatError(f"line {i}: duplicate key {key!r}")
             fields[key] = (i, value)
 
     def ints(key):

@@ -10,16 +10,17 @@ arithmetic structure (gcd, threshold, finite exception list) of that set
 when the language is transitive.
 
 The automaton is one integer successor table, and every walk over it
-reads that table by state position.  Transitivity reads one SCC
-decomposition per automaton, and the period computations one closed-walk
-recurrence: `period_structure` runs it to its first repeated state.
+reads that table by state position.  Transitivity is two reachability
+sweeps from the first full state, and the period computations one
+closed-walk recurrence: `period_structure` runs it to its first repeated
+state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 from .graphs import OrientedGraph, connected_components
 
@@ -221,11 +222,6 @@ class FactorAutomaton:
                     queue.append(t)
         return {self.states[s] for s in queue}
 
-    @cached_property
-    def _sccs(self):
-        """The state graph's SCCs as lists of positions, computed once."""
-        return _kosaraju_sccs(self._succ)
-
 
 @lru_cache(maxsize=None)
 def automaton(A: FactorSet) -> FactorAutomaton:
@@ -250,27 +246,43 @@ def is_transitive(A: FactorSet) -> bool:
 
     Whether a+d+b is A-free depends only on the suffix window of a, and b
     is readable from a state iff its first window-many letters are; both
-    windows range over the automaton's states, so the universally
-    quantified definition reduces to finitely many reachability queries:
-    for every state s and every state p, some state reachable from s must
-    read p without dying.
+    windows range over the automaton's states.  Let q0 be the first full
+    state.  The language is transitive iff (1) q0 reaches every full
+    state, (2) every state reaches q0, and (3) the window is 0 or q0 has a
+    successor: one forward and one backward sweep from q0.
 
-    Only the bottom SCCs (sink components) of the state graph matter: the
-    language is transitive iff every bottom SCC C reads every state p from
-    some t in C.  Necessary, because for s in C the states reachable from
-    s are exactly C.  Sufficient, because the states reachable from any s
-    contain a bottom SCC.  The components are the automaton's shared
-    decomposition (`FactorAutomaton._sccs`).
+    Necessary: joining s with q0 gives (2), q0 with each full q gives (1),
+    and q0 with itself (a nonempty d+q0 when the window is positive) gives
+    (3).  Sufficient: full states step to full states, so (1), (2) and (3)
+    make the walk graph strongly connected with an arc, and every full
+    state p lies on a closed walk u.  Some power u^m is at least window
+    letters long and ends in p, so the full state reached from p along
+    u^m less its last window letters reads p.  A short state p reaches q0
+    by (2) through a full extension p', and a full state reading p' reads
+    p.  So any a and b join through q0: from a's state to q0 by (2), then
+    by (1) to a full state reading b's window.
     """
     aut = automaton(A)
     f, b = aut._succ
-    for comp in aut._sccs:
-        if {t for s in comp for t in (f[s], b[s])} - {-1} - set(comp):
-            continue
-        for p in aut.states:
-            if not any(aut._read(t, p) >= 0 for t in comp):
-                return False
-    return True
+    n = len(aut.states)
+    q0 = n - len(aut.full_states())
+    if aut.window and f[q0] < 0 and b[q0] < 0:
+        return False
+    if len(aut.reachable_from(aut.states[q0])) < n - q0:
+        return False
+    pred = [[] for _ in range(n + 1)]  # pred[-1] collects the dead steps
+    for s in range(n):
+        pred[f[s]].append(s)
+        pred[b[s]].append(s)
+    seen = bytearray(n)
+    seen[q0] = 1
+    back = [q0]
+    for t in back:  # the growing list is the backward sweep's queue
+        for s in pred[t]:
+            if not seen[s]:
+                seen[s] = 1
+                back.append(s)
+    return len(back) == n
 
 
 def is_periodic(w: str, A: FactorSet) -> bool:
@@ -424,44 +436,6 @@ class PeriodStructure:
             and k not in self.exceptions
 
 
-def _kosaraju_sccs(succ):
-    """Strongly connected components of a successor table's graph (Kosaraju,
-    iterative): list positions by depth-first finishing time, then claim,
-    in reverse finishing order, every unclaimed position reaching a root.
-    """
-    f, b = succ
-    n = len(f) - 1
-    seen = bytearray(n + 1)
-    seen[n] = 1  # position -1 reads seen[n]: a dead step is never followed
-    finished = []
-    for root in range(n):
-        stack = [] if seen[root] else [root]
-        seen[root] = 1
-        while stack:  # out-degree <= 2: re-test both successors on each visit
-            v = stack[-1]
-            if not seen[t := f[v]] or not seen[t := b[v]]:
-                seen[t] = 1
-                stack.append(t)
-            else:
-                finished.append(stack.pop())
-    pred = [[] for _ in range(n + 1)]  # pred[-1] collects the dead steps
-    for v in range(n):
-        for t in (f[v], b[v]):
-            pred[t].append(v)
-    sccs = []
-    for root in reversed(finished):  # pass 2 clears the marks it claims
-        if seen[root]:
-            seen[root] = 0
-            comp = [root]
-            for v in comp:  # the growing list is the search's queue
-                for u in pred[v]:
-                    if seen[u]:
-                        seen[u] = 0
-                        comp.append(u)
-            sccs.append(comp)
-    return sccs
-
-
 def period_structure(A: FactorSet, nonconstant_only: bool = False,
                      verify_to: int = 300) -> PeriodStructure:
     """Arithmetic structure of the (nonconstant) period set of the A-free words.
@@ -475,15 +449,15 @@ def period_structure(A: FactorSet, nonconstant_only: bool = False,
     non-periods among the multiples of gcd_r up to c, and verified_to is
     max(verify_to, c).
 
-    No step budget is needed.  A bottom SCC of the state graph reads every
-    full state q from some state in it (transitivity), and reading q ends
-    at q, so all full states lie in the one bottom SCC and the walk graph
-    is strongly connected.  Its closed-walk lengths then include every
-    large multiple of their gcd (so no exception lies beyond c), and the
-    powers of its n-state matrix are periodic after at most (n - 1)^2 + 1
-    steps (Wielandt for primitive matrices; Schwarz, 1970, in general);
-    the nonconstant triple settles within n steps more.  Both bounds held
-    on 2,942 transitive sets with factors of up to 8 letters.
+    No step budget is needed.  By `is_transitive`'s criterion the walk
+    graph of a transitive language is strongly connected with an arc: the
+    first full state reaches every full state and every state reaches it.
+    Its closed-walk lengths then include every large multiple of their gcd
+    (so no exception lies beyond c), and the powers of its n-state matrix
+    are periodic after at most (n - 1)^2 + 1 steps (Wielandt for primitive
+    matrices; Schwarz, 1970, in general); the nonconstant triple settles
+    within n steps more.  Both bounds held on 2,942 transitive sets with
+    factors of up to 8 letters.
     """
     if verify_to < 1:
         raise ValueError("verify_to must be >= 1")

@@ -110,6 +110,9 @@ def test_parse_errors_name_the_offending_line():
     (parse_hole_spec, "members=5\n", "line 1: missing variant="),
     (parse_hole_spec, "variant=odd_tail\n", "line 1: odd_tail needs M=<threshold>"),
     (parse_hole_spec, "variant=custom\n", "line 1: custom needs tail="),
+    (parse_hole_spec, "variant=cofinite_complement memebers=5,7\n",
+     "line 1: unknown key 'memebers'"),
+    (parse_hole_spec, "variant=odd_tail M=9\nM=7\n", "line 2: duplicate key 'M'"),
 ])
 def test_format_error_messages(parse, text, message):
     with pytest.raises(FormatError) as caught:

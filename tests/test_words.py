@@ -2,7 +2,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import arc, c3, p3, powers_all_free, tt3
+from conftest import arc, c3, p3, powers_all_free, transitive_oracle, tt3
 
 from forbor import (
     FactorAutomaton, FactorSet, contains_induced, directed_path,
@@ -121,6 +121,23 @@ def test_is_transitive():
     assert is_transitive(FactorSet())
     # only the empty word survives: still transitive
     assert is_transitive(FactorSet(frozenset({">", "<"})))
+    # one case per clause of the criterion, q0 the first full state:
+    # (1) q0 reaches every full state, (2) every state reaches q0,
+    # (3) the window is 0 or q0 has a successor
+    for factors, clauses in ((("><",), (False, True, True)),
+                             (("<>",), (True, False, True)),
+                             ((">", "<<"), (True, True, False)),
+                             ((">",), (True, True, True))):
+        A = FactorSet(frozenset(factors))
+        aut = FactorAutomaton(A)
+        full = aut.full_states()
+        q0 = full[0]
+        assert clauses == (
+            aut.reachable_from(q0) >= set(full),
+            all(q0 in aut.reachable_from(s) for s in aut.states),
+            aut.window == 0 or any(aut.step(q0, c) is not None for c in "><"))
+        assert is_transitive(A) == all(clauses) == transitive_oracle(A), factors
+    assert FactorAutomaton(FactorSet(frozenset({">"}))).window == 0
 
 
 def test_transitivity_against_bounded_search():
