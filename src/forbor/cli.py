@@ -119,7 +119,8 @@ def _run_orient(args, texts):
 
 def _run_spectrum(args, texts):
     F = ForbiddenSet(parse_digraph_blocks(texts[0], oriented=True))
-    spec = sorted(cycle_spectrum(F, args.k_min, args.k_max, acyclic=args.acyclic))
+    spec = sorted(cycle_spectrum(F, args.k_min, args.k_max, acyclic=args.acyclic,
+                                 budget=args.budget))
     return ({"range": [args.k_min, args.k_max], "acyclic": args.acyclic,
              "spectrum": spec},
             ["spectrum " + " ".join(map(str, spec))])
@@ -157,15 +158,13 @@ def _duality_result(report):
 
 def _run_duality_verify(args, texts):
     a, b = parse_digraph(texts[0]), parse_digraph(texts[1])
-    return _duality_result(
-        verify_generalized_duality((a,), (b,), args.n, jobs=args.jobs))
+    return _duality_result(verify_generalized_duality((a,), (b,), args.n))
 
 
 def _run_duality_verify_gen(args, texts):
     F = parse_digraph_blocks(texts[0])
     M = parse_digraph_blocks(texts[1])
-    return _duality_result(
-        verify_generalized_duality(F, M, args.n, jobs=args.jobs))
+    return _duality_result(verify_generalized_duality(F, M, args.n))
 
 
 def _run_holes(args, texts):
@@ -197,8 +196,6 @@ def _parser():
                         default=argparse.SUPPRESS, dest="out_format")
     common.add_argument("--budget", type=int, default=argparse.SUPPRESS,
                         help="search node budget (exit 2 when exceeded)")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="parallel workers for universe scans")
 
     top = argparse.ArgumentParser(
         prog="forbor",
@@ -208,8 +205,6 @@ def _parser():
                      dest="out_format")
     top.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                      help="search node budget (exit 2 when exceeded)")
-    top.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for universe scans")
     # inputs_digest fields, at the values reported by subcommands without them
     top.set_defaults(word="", query="", k_min=0, k_max=0, containment="induced",
                      acyclic=False, nonconstant=False, n=4)
@@ -289,8 +284,6 @@ def run(argv) -> tuple[int, str]:
             args.k_min, args.k_max = _parse_range(args.range)
         if args.budget <= 0:
             raise CliError("the work budget must be positive")
-        if args.jobs < 1:
-            raise CliError("jobs must be at least 1")
         if args.k_min > args.k_max:
             raise CliError("empty range")
         if not 1 <= args.n <= ENUM_LIMIT:

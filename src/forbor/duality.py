@@ -138,80 +138,37 @@ class DualityReport:
         return self.counterexample is None
 
 
-def _duality_violation(D, forb, targets):
-    """Witness tuples if D separates the two sides of the claimed duality."""
-    lhs = tuple(hom_exists(h, D) for h in forb)
-    rhs = tuple(hom_exists(D, m) for m in targets)
-    in_forb = all(w is None for w in lhs)
-    in_csp = any(w is not None for w in rhs)
-    if in_forb != in_csp:
-        return lhs, rhs
-    return None
-
-
-def _scan_chunk(args):
-    forb, targets, chunk = args
-    for i, D in chunk:
-        v = _duality_violation(D, forb, targets)
-        if v is not None:
-            return i, D, v
-    return None
-
-
-def _universe(n_max):
-    for n in range(1, n_max + 1):
-        yield from enumerate_digraphs(n)
-
-
-def verify_generalized_duality(F, M, n_max: int = 4,
-                               jobs: int = 1) -> DualityReport:
+def verify_generalized_duality(F, M, n_max: int = 4) -> DualityReport:
     """Check the duality over every canonical digraph on <= n_max vertices.
 
     The claim under test: a digraph receives no member of F exactly when
     it maps into some member of M.  Returns the first violation in
-    canonical order, certificates verified.  With jobs > 1 the universe is
-    scanned in parallel chunks; the merged result is still the canonically
-    first counterexample.  An n_max below 1 or past the enumeration cap
-    raises ValueError before any scan.
+    canonical order, certificates verified.  An n_max below 1 or past the
+    enumeration cap raises ValueError before any scan.
     """
     forb = tuple(F)
     targets = tuple(M)
     enumerate_digraphs(n_max)
-    indexed = list(enumerate(_universe(n_max)))
-    hit = None
-    if jobs > 1:
-        # imported here: the process machinery costs a serial run 1.4 MB
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        step = max(1, len(indexed) // (jobs * 4))
-        chunks = [indexed[i:i + step] for i in range(0, len(indexed), step)]
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = [r for r in pool.map(
-                    _scan_chunk, [(forb, targets, c) for c in chunks]) if r]
-            if results:
-                hit = min(results)
-        except (OSError, BrokenProcessPool):
-            jobs = 1  # environments without process spawning fall back
-    if jobs <= 1:
-        hit = _scan_chunk((forb, targets, indexed))
-    if hit is None:
-        return DualityReport(holds_up_to=n_max)
-    _, D, (lhs, rhs) = hit
-    for h, w in zip(forb, lhs):
-        if w is not None and not w.verify(h, D):
-            raise AssertionError("forbidden-side certificate failed")
-    for m, w in zip(targets, rhs):
-        if w is not None and not w.verify(D, m):
-            raise AssertionError("target-side certificate failed")
-    return DualityReport(holds_up_to=n_max, counterexample=D,
-                         lhs_witnesses=lhs, rhs_witnesses=rhs)
+    for n in range(1, n_max + 1):
+        for D in enumerate_digraphs(n):
+            lhs = tuple(hom_exists(h, D) for h in forb)
+            rhs = tuple(hom_exists(D, m) for m in targets)
+            if all(w is None for w in lhs) == any(w is not None for w in rhs):
+                continue
+            for h, w in zip(forb, lhs):
+                if w is not None and not w.verify(h, D):
+                    raise AssertionError("forbidden-side certificate failed")
+            for m, w in zip(targets, rhs):
+                if w is not None and not w.verify(D, m):
+                    raise AssertionError("target-side certificate failed")
+            return DualityReport(holds_up_to=n_max, counterexample=D,
+                                 lhs_witnesses=lhs, rhs_witnesses=rhs)
+    return DualityReport(holds_up_to=n_max)
 
 
-def verify_duality_pair(a: Digraph, b: Digraph, n_max: int = 4,
-                        jobs: int = 1) -> DualityReport:
+def verify_duality_pair(a: Digraph, b: Digraph, n_max: int = 4) -> DualityReport:
     """Check that (a, b) is a duality pair over digraphs on <= n_max vertices."""
-    return verify_generalized_duality((a,), (b,), n_max, jobs)
+    return verify_generalized_duality((a,), (b,), n_max)
 
 
 def known_duality_catalog():

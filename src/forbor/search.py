@@ -307,14 +307,15 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
 
 
 def cycle_spectrum(F: ForbiddenSet, k_min: int, k_max: int,
-                   acyclic: bool = False):
+                   acyclic: bool = False, budget: int = DEFAULT_BUDGET):
     """Cycle lengths in [k_min, k_max] admitting an F-avoiding orientation.
 
     Members must be connected.  Below max(4, max order + 1) each cycle is
     decided by brute-force search; from there on only path-shaped members
     can embed, so a single walk computation over the forbidden-factor
     words decides the whole range (nonconstant walks in acyclic mode,
-    since the directed cycle is the constant word's image).
+    since the directed cycle is the constant word's image).  The budget
+    bounds each brute-force search, as in admits_orientation.
     """
     if not F.all_connected:
         raise ValueError("cycle spectra need connected members only")
@@ -326,7 +327,7 @@ def cycle_spectrum(F: ForbiddenSet, k_min: int, k_max: int,
     out = set()
     mode = SearchMode("induced", acyclic)
     for k in range(k_min, min(k_max, threshold - 1) + 1):
-        if admits_orientation(make_cycle(k), F, mode).admits:
+        if admits_orientation(make_cycle(k), F, mode, budget).admits:
             out.add(k)
     if k_max >= threshold:
         A = forbidden_factor_set(F.members)

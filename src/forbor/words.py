@@ -147,7 +147,8 @@ class FactorAutomaton:
     window = (max factor length) - 1, or w itself while shorter; a word is
     A-free iff its run never dies.  States are exactly the A-free words of
     length <= window (every one is reached by reading itself), listed in
-    breadth-first order.  `_succ[b][i]` is the position of state i's
+    breadth-first order, so the full (window-length) states are the tail
+    from position `first_full`.  `_succ[b][i]` is the position of state i's
     successor under `ALPHABET[b]`, -1 where the step dies; each row ends
     in a -1, so a dead position reads dead again.  Past `STATE_LIMIT`
     states, construction raises ValueError.
@@ -177,6 +178,8 @@ class FactorAutomaton:
                     states.append(t)
                 row.append(i)
         self.states = tuple(states)
+        self.first_full = next((i for i, s in enumerate(states)
+                                if len(s) == self.window), len(states))
         self._index = index
         self._succ = tuple(row + [-1] for row in succ)
         self.root = ""
@@ -206,7 +209,7 @@ class FactorAutomaton:
 
     def full_states(self):
         """States of maximal window length (the tail of `states`)."""
-        return tuple(s for s in self.states if len(s) == self.window)
+        return self.states[self.first_full:]
 
     def reachable_from(self, state):
         i = self._index.get(state)
@@ -265,7 +268,7 @@ def is_transitive(A: FactorSet) -> bool:
     aut = automaton(A)
     f, b = aut._succ
     n = len(aut.states)
-    q0 = n - len(aut.full_states())
+    q0 = aut.first_full
     if aut.window and f[q0] < 0 and b[q0] < 0:
         return False
     if len(aut.reachable_from(aut.states[q0])) < n - q0:
@@ -318,8 +321,8 @@ def _closed_walks(A: FactorSet, nonconstant: bool):
     nonconstant) over the full states, and the k-walk matrix (nonconstant:
     the triple both, fwd, bwd) that fixes every later step.  Endless."""
     aut = automaton(A)
-    n = len(aut.full_states())
-    lo = len(aut.states) - n
+    lo = aut.first_full
+    n = len(aut.states) - lo
     f, b = ([t - lo if t >= 0 else -1 for t in row[lo:-1]] for row in aut._succ)
     unit = [1 << i for i in range(n)] + [0]
 

@@ -1,11 +1,10 @@
 import random
-from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 
 import pytest
 
 import forbor
-from conftest import all_labelled_digraphs, arc, c3, first_hom_oracle, p3, tt3
+from conftest import all_labelled_digraphs, arc, c3, first_hom_oracle, p3, p4, tt3
 
 from forbor import (
     Digraph, Graph, HomWitness, OrientedGraph, WorkBudgetExceeded, core_of,
@@ -248,30 +247,42 @@ def test_duality_bounds_outside_the_universe_are_refused():
         verify_duality_pair(c3(), transitive_tournament(2), 9)
 
 
-def test_generalized_duality_jobs_matches_sequential():
-    seq = verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=1)
-    par = verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=2)
-    assert seq.holds == par.holds
-    assert is_isomorphic(seq.counterexample, par.counterexample)
+def _first_separating_oracle(F, M, n_max):
+    """First universe member, in enumeration order, on which "receives no
+    member of F" and "maps into some member of M" disagree, with both sides'
+    brute-force maps; None if there is none."""
+    for n in range(1, n_max + 1):
+        for D in enumerate_digraphs(n):
+            lhs = tuple(first_hom_oracle(h, D) for h in F)
+            rhs = tuple(first_hom_oracle(D, m) for m in M)
+            if all(w is None for w in lhs) != any(w is not None for w in rhs):
+                return D, lhs, rhs
+    return None
 
 
-def test_generalized_duality_falls_back_when_the_pool_breaks(monkeypatch):
-    class BrokenPool:
-        def __init__(self, max_workers):
-            pass
+DIGON = Digraph(2, frozenset({(0, 1), (1, 0)}))
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            raise BrokenProcessPool("a worker died")
-
-    seq = verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=1)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", BrokenPool)
-    assert verify_duality_pair(c3(), transitive_tournament(2), 3, jobs=2) == seq
+# C3/digon and C4/TT2 have three separating members on their first level
+@pytest.mark.parametrize("F, M, holds", [
+    ((c3(),), (transitive_tournament(2),), False),
+    ((tt3(),), (tt3(),), False),
+    ((p3(),), (transitive_tournament(2),), True),
+    ((c3(),), (DIGON,), False),
+    ((directed_cycle(4),), (transitive_tournament(2),), False),
+    ((c3(), p4()), (transitive_tournament(2), DIGON), False),
+])
+def test_generalized_duality_reports_the_first_separating_member(F, M, holds):
+    for n_max in (3, 4):
+        rep = verify_generalized_duality(F, M, n_max)
+        first = _first_separating_oracle(F, M, n_max)
+        assert rep.holds == holds == (first is None)
+        assert rep.holds_up_to == n_max
+        if first is not None:
+            D, lhs, rhs = first
+            assert rep.counterexample == D
+            assert tuple(w and w.mapping for w in rep.lhs_witnesses) == lhs
+            assert tuple(w and w.mapping for w in rep.rhs_witnesses) == rhs
 
 
 def test_no_finite_target_for_transitive_triangle():

@@ -129,7 +129,7 @@ def test_fuzz_graph_and_digraph_texts(tmp_path_factory):
         check_run(["core", f1])
         check_run(["translate", f2])
         lo, hi = data.draw(st.integers(-1, 9)), data.draw(st.integers(-1, 12))
-        check_run(["spectrum", "-F", f1, f"--range={lo}..{hi}"])
+        check_run(["spectrum", "-F", f1, f"--range={lo}..{hi}", "--budget", budget])
         check_run(["duality", "verify", "-A", f1, "-B", f2,
                    "--n", str(data.draw(st.integers(0, 3)))])
 

@@ -447,12 +447,14 @@ def test_cli_reports_are_pinned(tmp_path, name, argv, fmt):
      "error: k_max must be at least 4"),
     (["--budget", "0", "lang", "sync", "-A", "@A.txt"], 1,
      "error: the work budget must be positive"),
-    (["lang", "sync", "-A", "@A.txt", "--jobs", "0"], 1, "error: jobs must be at least 1"),
+    (["duality", "verify-gen", "-F", "@p3.dig", "-M", "@tt2.dig", "--jobs", "2"], 1, ""),
     (["translate", "abc"], 1, "error: 'abc' is neither a readable file nor a word over '><'"),
     (["translate", "@c3.dig"], 1, "error: not an orientation of a path"),
     (["core", "@bip.forb"], 1, "error: line 5: duplicate digraph header"),
     (["hom", "@c3.dig", "@tt2.dig", "--budget", "1"], 2,
      "work budget exceeded: hom search exceeded 1 nodes"),
+    (["spectrum", "-F", "@p3.dig", "--range", "3..9", "--budget", "1"], 2,
+     "work budget exceeded: orientation search exceeded 1 nodes"),
     (["--version"], 0, ""),
     ([], 1, ""),
     (["duality"], 1, ""),
@@ -461,10 +463,10 @@ def test_cli_reports_are_pinned(tmp_path, name, argv, fmt):
     (["duality", "verify", "-A", "@c3.dig", "-B", "@tt2.dig", "--n", "9"], 1,
      "error: --n must be between 1 and 5, got 9"),
 ], ids=["unreadable", "bad_range", "empty_range", "lang_kmax_negative", "lang_kmax_zero",
-        "holes_kmax_negative", "holes_kmax_zero", "budget_zero", "jobs_zero",
+        "holes_kmax_negative", "holes_kmax_zero", "budget_zero", "jobs_unknown",
         "translate_non_word", "translate_non_path", "parse_error", "budget_exhausted",
-        "version", "no_subcommand", "no_duality_subcommand", "duality_n_below_one",
-        "duality_n_past_cap"])
+        "spectrum_budget_exhausted", "version", "no_subcommand", "no_duality_subcommand",
+        "duality_n_below_one", "duality_n_past_cap"])
 def test_cli_errors_are_pinned(tmp_path, capsys, argv, status, message):
     argv = _golden_argv(tmp_path, argv)
     message = message.replace("@", str(tmp_path) + "/")
