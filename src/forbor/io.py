@@ -107,9 +107,10 @@ def parse_hole_spec(text: str) -> HoleClassSpec:
 
     Keys: variant (finite | cofinite_complement | odd_tail | custom),
     members (comma-separated lengths), M (odd-tail threshold), exceptions,
-    tail (finite | cofinite | odd_tail | coinfinite), bound.  A custom
-    variant interprets `members` as the forbidden lengths within `bound`.
-    Any other key, or a key given twice, is a FormatError.
+    tail (finite | cofinite | odd_tail | coinfinite), bound.  odd_tail
+    reads M and exceptions, custom reads tail, bound and members (the
+    forbidden lengths within bound), the others read members.  Any other
+    key, a key given twice or one the variant does not read is a FormatError.
     """
     fields = {}
     for i, line in _clean_lines(text):
@@ -144,23 +145,26 @@ def parse_hole_spec(text: str) -> HoleClassSpec:
     if "variant" not in fields:
         raise FormatError("line 1: missing variant=")
     at, variant = fields["variant"]
-    if variant == "finite":
-        make, args = HoleClassSpec.finite, (ints("members"),)
-    elif variant == "cofinite_complement":
-        make, args = HoleClassSpec.cofinite_complement, (ints("members"),)
+    reads = {"finite": ("members",), "cofinite_complement": ("members",),
+             "odd_tail": ("M", "exceptions"), "custom": ("tail", "members", "bound")}
+    if variant not in reads:
+        raise FormatError(f"line {at}: unknown variant {variant!r}")
+    for key, (i, _) in fields.items():
+        if key not in reads[variant] + ("variant",):
+            raise FormatError(f"line {i}: key {key!r} does not apply to variant {variant!r}")
+    if variant in ("finite", "cofinite_complement"):
+        make, args = getattr(HoleClassSpec, variant), (ints("members"),)
     elif variant == "odd_tail":
         if "M" not in fields:
             raise FormatError(f"line {at}: odd_tail needs M=<threshold>")
         make, args = HoleClassSpec.odd_tail, (integer("M"), ints("exceptions"))
-    elif variant == "custom":
+    else:
         if "tail" not in fields:
             raise FormatError(f"line {at}: custom needs tail=")
         tail = {"coinfinite": "other"}.get(fields["tail"][1], fields["tail"][1])
         members = frozenset(ints("members"))
         bound = integer("bound") if "bound" in fields else 200
         make, args = HoleClassSpec.custom, (members.__contains__, tail, bound)
-    else:
-        raise FormatError(f"line {at}: unknown variant {variant!r}")
     try:
         return make(*args)
     except ValueError as e:

@@ -233,7 +233,9 @@ def automaton(A: FactorSet) -> FactorAutomaton:
 
 
 def has_free_word(A: FactorSet, k: int) -> bool:
-    """True iff some k-letter word is A-free."""
+    """True iff some k-letter word is A-free (k = 0: the empty word)."""
+    if k < 0:
+        raise ValueError("word length must be >= 0")
     f, b = automaton(A)._succ
     layer = {0}
     for _ in range(k):
@@ -318,31 +320,24 @@ def is_periodic(w: str, A: FactorSet) -> bool:
 
 def _closed_walks(A: FactorSet, nonconstant: bool):
     """For k = 1, 2, ...: is there a closed k-walk (using both letters if
-    nonconstant) over the full states, and the k-walk matrix (nonconstant:
-    the triple both, fwd, bwd) that fixes every later step.  Endless."""
+    nonconstant) over the full states, and the k-walk matrix that fixes
+    every later step.  Endless.  Started at a '>' after a '<', a walk using
+    both letters steps from a state s entered by '<' to f[s] and back in
+    k - 1 steps, the last one '<' (a step into a full state reads its last
+    letter).  So the k-walk matrix flags k + 1; no 1-walk is nonconstant."""
     aut = automaton(A)
     lo = aut.first_full
     n = len(aut.states) - lo
     f, b = ([t - lo if t >= 0 else -1 for t in row[lo:-1]] for row in aut._succ)
-    unit = [1 << i for i in range(n)] + [0]
-
-    def closed(rows):
-        return any(row >> i & 1 for i, row in enumerate(rows))
-
-    if not nonconstant:
-        walks = unit
-        while True:
-            walks = [walks[x] | walks[y] for x, y in zip(f, b)] + [0]
-            yield closed(walks), walks
-    # fwd/bwd: walks using '>' / '<' only; both: walks using both letters
-    fwd = [unit[x] for x in f] + [0]
-    bwd = [unit[y] for y in b] + [0]
-    both = [0] * (n + 1)
+    entered = {t for t in b if t >= 0}  # the full states entered by '<'
+    walks, closed = [1 << i for i in range(n)] + [0], False  # the 0-walk matrix
     while True:
-        yield closed(both), (both, fwd, bwd)
-        both = [both[x] | bwd[x] | both[y] | fwd[y] for x, y in zip(f, b)] + [0]
-        fwd = [fwd[x] for x in f] + [0]
-        bwd = [bwd[y] for y in b] + [0]
+        walks = [walks[x] | walks[y] for x, y in zip(f, b)] + [0]
+        if not nonconstant:
+            closed = any(row >> i & 1 for i, row in enumerate(walks))
+        yield closed, walks
+        if nonconstant:
+            closed = any(walks[f[s]] >> s & 1 for s in entered)
 
 
 def enumerate_periods(A: FactorSet, k_max: int, nonconstant_only: bool = False):
@@ -458,9 +453,9 @@ def period_structure(A: FactorSet, nonconstant_only: bool = False,
     Its closed-walk lengths then include every large multiple of their gcd
     (so no exception lies beyond c), and the powers of its n-state matrix
     are periodic after at most (n - 1)^2 + 1 steps (Wielandt for primitive
-    matrices; Schwarz, 1970, in general); the nonconstant triple settles
-    within n steps more.  Both bounds held on 2,942 transitive sets with
-    factors of up to 8 letters.
+    matrices; Schwarz, 1970, in general).  Both variants read that one
+    matrix sequence, so the one bound serves both; it held on 2,942
+    transitive sets with factors of up to 8 letters.
     """
     if verify_to < 1:
         raise ValueError("verify_to must be >= 1")

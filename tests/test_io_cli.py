@@ -113,6 +113,17 @@ def test_parse_errors_name_the_offending_line():
     (parse_hole_spec, "variant=cofinite_complement memebers=5,7\n",
      "line 1: unknown key 'memebers'"),
     (parse_hole_spec, "variant=odd_tail M=9\nM=7\n", "line 2: duplicate key 'M'"),
+    (parse_hole_spec, "variant=odd_tail M=9 members=5\n",
+     "line 1: key 'members' does not apply to variant 'odd_tail'"),
+    (parse_hole_spec, "variant=finite members=5 M=7\ntail=cofinite\n",
+     "line 1: key 'M' does not apply to variant 'finite'"),
+    (parse_hole_spec, "variant=finite members=5\ntail=cofinite\n",
+     "line 2: key 'tail' does not apply to variant 'finite'"),
+    (parse_hole_spec, "exceptions=5\nvariant=cofinite_complement\n",
+     "line 1: key 'exceptions' does not apply to variant 'cofinite_complement'"),
+    (parse_hole_spec, "variant=custom tail=finite M=5\n",
+     "line 1: key 'M' does not apply to variant 'custom'"),
+    (parse_hole_spec, "bound=9 variant=banana\n", "line 1: unknown variant 'banana'"),
 ])
 def test_format_error_messages(parse, text, message):
     with pytest.raises(FormatError) as caught:

@@ -112,6 +112,25 @@ def test_period_structure_makes_one_walk_pass(monkeypatch):
     assert calls == {"_closed_walks": 2, "enumerate_periods": 0}
 
 
+def _criterion3_pool():
+    # criterion 3's pool: exhaustive and random
+    rng = random.Random(424242)
+    pool4 = ["".join(p) for L in (1, 2, 3, 4) for p in product("><", repeat=L)]
+    return all_small_factor_sets() + [
+        FactorSet(frozenset(rng.sample(pool4, rng.randint(0, 5)))) for _ in range(100)]
+
+
+def test_both_variants_walk_the_same_states():
+    # the nonconstant flag is a second reading of the k-walk matrices, so
+    # both variants yield one state sequence
+    pool = _criterion3_pool() + [FactorSet(frozenset({">" * L, "<" * L}))
+                                 for L in range(2, 11)]
+    for A in pool:
+        steps = zip(range(40), words._closed_walks(A, False), words._closed_walks(A, True))
+        for k, (_, constant), (_, nonconstant) in steps:
+            assert constant == nonconstant, (sorted(A.members), k + 1)
+
+
 def test_period_structure_stops_at_the_first_repeat(monkeypatch):
     # the structure is read off the recurrence's first repeated state, well
     # before the 300 lengths that the observed sample reports
@@ -124,10 +143,7 @@ def test_period_structure_stops_at_the_first_repeat(monkeypatch):
             yield step
 
     monkeypatch.setattr(words, "_closed_walks", counted)
-    rng = random.Random(424242)  # criterion 3's pool: exhaustive and random
-    pool4 = ["".join(p) for L in (1, 2, 3, 4) for p in product("><", repeat=L)]
-    crit3 = all_small_factor_sets() + [
-        FactorSet(frozenset(rng.sample(pool4, rng.randint(0, 5)))) for _ in range(100)]
+    crit3 = _criterion3_pool()
     pool = [FactorSet(frozenset({">" * L, "<" * L})) for L in range(2, 11)]
     assert all(is_transitive(A) for A in pool)
     for A in pool + [A for A in crit3 if is_transitive(A)]:

@@ -225,6 +225,10 @@ def test_has_free_word():
     assert not has_free_word(A, 1)
     almost = FactorSet(frozenset({"><", ">>"}))  # after '>' nothing survives
     assert has_free_word(almost, 10)  # all-'<' words
+    assert has_free_word(A, 0)  # the empty word
+    for k in (-1, -3):
+        with pytest.raises(ValueError, match="word length must be >= 0"):
+            has_free_word(AF_BIP, k)
 
 
 def test_period_structure_examples():
