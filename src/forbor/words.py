@@ -13,14 +13,14 @@ The automaton is one integer successor table, and every walk over it
 reads that table by state position.  Transitivity is two reachability
 sweeps from the first full state, and the period computations one
 closed-walk recurrence: `period_structure` runs it to its first repeated
-state.
+state for every language, a non-transitive one at most to `verify_to`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .graphs import OrientedGraph, connected_components
 
@@ -215,15 +215,19 @@ class FactorAutomaton:
         i = self._index.get(state)
         if i is None:
             return {state}
-        f, b = self._succ
-        queue = [i]
-        seen = {-1, i}
-        for s in queue:  # the growing list is the breadth-first queue
-            for t in (f[s], b[s]):
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return {self.states[s] for s in queue}
+        return {self.states[s] for s in _sweep(tuple(zip(*self._succ)), i)}
+
+
+def _sweep(arcs, start):
+    """Positions reachable from start, arcs[s] listing s's next positions
+    (-1 is a dead step), in breadth-first order."""
+    queue, seen = [start], {-1, start}
+    for s in queue:  # the growing list is the breadth-first queue
+        for t in arcs[s]:
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return queue
 
 
 @lru_cache(maxsize=None)
@@ -273,21 +277,13 @@ def is_transitive(A: FactorSet) -> bool:
     q0 = aut.first_full
     if aut.window and f[q0] < 0 and b[q0] < 0:
         return False
-    if len(aut.reachable_from(aut.states[q0])) < n - q0:
+    if len(_sweep(tuple(zip(f, b)), q0)) < n - q0:
         return False
     pred = [[] for _ in range(n + 1)]  # pred[-1] collects the dead steps
     for s in range(n):
         pred[f[s]].append(s)
         pred[b[s]].append(s)
-    seen = bytearray(n)
-    seen[q0] = 1
-    back = [q0]
-    for t in back:  # the growing list is the backward sweep's queue
-        for s in pred[t]:
-            if not seen[s]:
-                seen[s] = 1
-                back.append(s)
-    return len(back) == n
+    return len(_sweep(pred, q0)) == n
 
 
 def is_periodic(w: str, A: FactorSet) -> bool:
@@ -299,6 +295,9 @@ def is_periodic(w: str, A: FactorSet) -> bool:
     """
     if not w:
         raise ValueError("periodicity is defined for nonempty words only")
+    outside = w.strip(ALPHABET)  # starts at w's first letter outside the alphabet
+    if outside:
+        raise ValueError(f"letter {outside[0]!r} is not in the alphabet {ALPHABET!r}")
     K = -(-sync_bound(A) // len(w)) + 1
     return is_A_free(w * K, A)
 
@@ -407,8 +406,9 @@ class PeriodStructure:
     lying below threshold_t0.  gcd_r == 0 encodes the empty period set.
     verified_to is at least the step at which `period_structure` saw the
     walk recurrence repeat, so it covers every exception.
-    When transitive is not set only `observed` (the enumerated sample up
-    to verified_to) carries information; no structural claim is made.
+    When transitive is not set only `observed` (the periods up to
+    verified_to, read off the same walk) and their gcd carry information;
+    no structural claim is made.
     """
 
     gcd_r: int
@@ -438,49 +438,47 @@ def period_structure(A: FactorSet, nonconstant_only: bool = False,
                      verify_to: int = 300) -> PeriodStructure:
     """Arithmetic structure of the (nonconstant) period set of the A-free words.
 
-    For a non-transitive language only enumerated data is returned.  For
-    a transitive one the closed-walk recurrence runs to its first repeated
-    state (Brent's method: the mark moves to the state at each power of
-    two).  A repeat state(c) = state(c - p) makes the flags beyond c repeat
-    with period p, so the set is exact: gcd_r is the gcd of the periods up
-    to c + p (one extra period brings in p), the exceptions are the
-    non-periods among the multiples of gcd_r up to c, and verified_to is
-    max(verify_to, c).
+    One run of the closed-walk recurrence, for every language, to its first
+    repeated state (Brent's method: the mark moves to the state at each
+    power of two).  The k-walk matrix fixes every later one, so a repeat
+    state(c) = state(c - p) makes the flags beyond c repeat with period p;
+    they are extended to max(c + p, verify_to).  For a non-transitive
+    language verify_to is the budget: the run stops there at the latest,
+    and only the periods up to it and their gcd are reported.  For a
+    transitive one the set is exact: gcd_r is the gcd of the periods (those
+    up to c + p bring in p), the exceptions are the non-periods among the
+    multiples of gcd_r up to c, and verified_to is max(verify_to, c).
 
-    No step budget is needed.  By `is_transitive`'s criterion the walk
-    graph of a transitive language is strongly connected with an arc: the
-    first full state reaches every full state and every state reaches it.
-    Its closed-walk lengths then include every large multiple of their gcd
-    (so no exception lies beyond c), and the powers of its n-state matrix
-    are periodic after at most (n - 1)^2 + 1 steps (Wielandt for primitive
+    A transitive language needs no budget.  By `is_transitive`'s criterion
+    its walk graph is strongly connected with an arc: the first full state
+    reaches every full state and every state reaches it.  Its closed-walk
+    lengths then include every large multiple of their gcd (so no
+    exception lies beyond c), and the powers of its n-state matrix are
+    periodic after at most (n - 1)^2 + 1 steps (Wielandt for primitive
     matrices; Schwarz, 1970, in general).  Both variants read that one
     matrix sequence, so the one bound serves both; it held on 2,942
     transitive sets with factors of up to 8 letters.
     """
     if verify_to < 1:
         raise ValueError("verify_to must be >= 1")
-    if not is_transitive(A):
-        observed = tuple(sorted(enumerate_periods(A, verify_to, nonconstant_only)))
-        return PeriodStructure(
-            gcd_r=reduce(math.gcd, observed, 0), threshold_t0=0, exceptions=(),
-            transitive=False, nonconstant_variant=nonconstant_only,
-            observed=observed, verified_to=verify_to)
+    transitive = is_transitive(A)
     flags, mark, marked_at = [], None, 0
     for c, (closed, state) in enumerate(_closed_walks(A, nonconstant_only), 1):
         flags.append(closed)
-        if state == mark:
+        if state == mark or not transitive and c == verify_to:
             break
         if c & (c - 1) == 0:  # c is a power of two: move the mark
             mark, marked_at = state, c
-    p = c - marked_at
+    p = c - marked_at if state == mark else 0  # 0: stopped at the budget
     while len(flags) < max(c + p, verify_to):
         flags.append(flags[-p])
     periods = [k for k, closed in enumerate(flags, 1) if closed]
-    r = math.gcd(*(k for k in periods if k <= c + p))
-    bound = max(verify_to, c)
-    if r == 0:
-        return PeriodStructure(0, 1, (), True, nonconstant_only, (), bound)
-    exceptions = tuple(k for k in range(r, c + 1, r) if not flags[k - 1])
-    t0 = exceptions[-1] + r if exceptions else r
-    return PeriodStructure(r, t0, exceptions, True, nonconstant_only,
-                           tuple(k for k in periods if k <= verify_to), bound)
+    observed = tuple(k for k in periods if k <= verify_to)
+    if not transitive:
+        return PeriodStructure(math.gcd(*observed), 0, (), False, nonconstant_only,
+                               observed, verify_to)
+    r = math.gcd(*periods)
+    exceptions = tuple(k for k in range(r, c + 1, r) if not flags[k - 1]) if r else ()
+    t0 = exceptions[-1] + r if exceptions else max(r, 1)
+    return PeriodStructure(r, t0, exceptions, True, nonconstant_only, observed,
+                           max(verify_to, c))

@@ -4,6 +4,7 @@ on factor sets whose automata have thousands of states."""
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from itertools import product
 
@@ -105,11 +106,13 @@ def test_period_structure_makes_one_walk_pass(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(words, name, counted(name, getattr(words, name)))
-    A = FactorSet(frozenset({">" * 6, "<" * 5, "<><<>"}))
-    assert is_transitive(A)
-    for nc in (False, True):
-        period_structure(A, nc)
-    assert calls == {"_closed_walks": 2, "enumerate_periods": 0}
+    # one walk for a transitive and for a non-transitive language alike
+    pair = [FactorSet(frozenset({">" * 6, "<" * 5, "<><<>"})), FactorSet(frozenset({"><"}))]
+    assert [is_transitive(A) for A in pair] == [True, False]
+    for A in pair:
+        for nc in (False, True):
+            period_structure(A, nc)
+    assert calls == {"_closed_walks": 4, "enumerate_periods": 0}
 
 
 def _criterion3_pool():
@@ -131,27 +134,69 @@ def test_both_variants_walk_the_same_states():
             assert constant == nonconstant, (sorted(A.members), k + 1)
 
 
-def test_period_structure_stops_at_the_first_repeat(monkeypatch):
-    # the structure is read off the recurrence's first repeated state, well
-    # before the 300 lengths that the observed sample reports
+def _count_drawn_steps(monkeypatch):
+    # patches the walk so that each call appends its count of drawn steps
     closed_walks = words._closed_walks
     drawn = []
 
     def counted(A, nonconstant):
+        drawn.append(0)
         for step in closed_walks(A, nonconstant):
             drawn[-1] += 1
             yield step
 
     monkeypatch.setattr(words, "_closed_walks", counted)
-    crit3 = _criterion3_pool()
+    return drawn
+
+
+def test_period_structure_stops_at_the_first_repeat(monkeypatch):
+    # the structure is read off the recurrence's first repeated state, well
+    # before the 300 lengths that the observed sample reports, for
+    # transitive and non-transitive languages alike
+    drawn = _count_drawn_steps(monkeypatch)
     pool = [FactorSet(frozenset({">" * L, "<" * L})) for L in range(2, 11)]
     assert all(is_transitive(A) for A in pool)
-    for A in pool + [A for A in crit3 if is_transitive(A)]:
+    crit3 = _criterion3_pool()
+    assert any(is_transitive(A) for A in crit3) and not all(is_transitive(A) for A in crit3)
+    for A in pool + crit3:
         for nc in (False, True):
-            drawn.append(0)
             ps = period_structure(A, nc)
             assert 0 < drawn[-1] < 300, (sorted(A.members), nc, drawn[-1])
             assert ps.verified_to == 300
+
+
+def test_non_transitive_structure_is_the_enumerated_sample():
+    rng = random.Random(2718)
+    pool = ["".join(p) for L in range(1, 7) for p in product("><", repeat=L)]
+    seeded = [FactorSet(frozenset(rng.sample(pool, rng.randint(1, 6))))
+              for _ in range(1000)]
+    checked = 0
+    for A in _criterion3_pool() + seeded:
+        if is_transitive(A):
+            continue
+        checked += 1
+        for nc in (False, True):
+            ps = period_structure(A, nc)
+            assert ps.observed == tuple(sorted(enumerate_periods(A, 300, nc))), \
+                (sorted(A.members), nc)
+            assert ps.gcd_r == math.gcd(*ps.observed)
+            assert (ps.threshold_t0, ps.exceptions, ps.verified_to) == (0, (), 300)
+    assert checked > 500
+
+
+def test_non_transitive_walk_stops_at_the_budget(monkeypatch):
+    # a verify_to below the first repeat cuts the walk; the sample is still
+    # the enumerated one
+    drawn = _count_drawn_steps(monkeypatch)
+    for A in _criterion3_pool():
+        if is_transitive(A):
+            continue
+        for nc in (False, True):
+            for verify_to in range(1, 13):
+                ps = period_structure(A, nc, verify_to)
+                assert drawn[-1] <= verify_to, (sorted(A.members), nc, verify_to)
+                assert ps.observed == tuple(sorted(enumerate_periods(A, verify_to, nc)))
+                assert ps.verified_to == verify_to
 
 
 def test_automaton_answers_outside_its_states_and_alphabet():

@@ -160,6 +160,11 @@ def test_is_periodic():
     assert is_periodic(">><", FactorSet(frozenset({"<<"})))
     with pytest.raises(ValueError):
         is_periodic("", AF_BIP)
+    # a letter outside the alphabet is refused, as the automaton refuses it
+    for w in ("xy", ">x<"):
+        assert not FactorAutomaton(AF_BIP).accepts(w)
+        with pytest.raises(ValueError, match="^letter 'x' is not in the alphabet '><'$"):
+            is_periodic(w, AF_BIP)
 
 
 def test_periodicity_oracle_equivalence():
