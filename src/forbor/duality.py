@@ -48,12 +48,13 @@ def hom_exists(d1: Digraph, d2: Digraph,
     target values ascending.  Placing v at w narrows each later neighbour's
     domain to w's out- or in-neighbours (d1._hom_checks into d2._hom_host),
     so a value left in a domain agrees with every placed neighbour.  Each
-    value tried counts against budget.
+    value tried counts against budget.  The witness reads the images by
+    vertex through d1._rank, the inverse of d1._order, built once per value.
     """
     images = _hom_images(d1, d2, (1 << d2.n) - 1, budget)
     if images is None:
         return None
-    return HomWitness(tuple(w for _, w in sorted(zip(d1._order, images))))
+    return HomWitness(tuple(map(images.__getitem__, d1._rank)))
 
 
 def _hom_images(d1, d2, domain, budget):

@@ -11,7 +11,10 @@ isomorphism, the orientation search, homomorphisms and cores all run on
 it.  Its tables (_Tables) read n and arcs, and a graph's arcs are both
 directions of each edge, so every kernel entry point takes a Graph,
 Digraph or Orientation as it is; an orientation shares its base graph's
-adjacency, non-adjacency and degrees.  It needs only the standard library.
+adjacency, non-adjacency and degrees.  Each value builds these tables
+once, as a host and as a pattern: a pattern's placement checks, its pin
+plans for the orientation search, its components and the rank that reads
+a hom's images back by vertex.  It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -70,7 +73,10 @@ def _closure(adj, mask):
 
 
 class _Tables:
-    """The kernels' per-value tables, read from n and arcs and built once."""
+    """The kernels' per-value tables, read from n and arcs and built once:
+    a host's adjacency, relations and degree masks, and a pattern's
+    placement order and rank, checks, pin plans and components.  None
+    depends on the value searched against, so every search shares them."""
 
     @cached_property
     def _adj(self):
@@ -109,6 +115,14 @@ class _Tables:
                             key=lambda v: (-out[v].bit_count() - inn[v].bit_count(), v)))
 
     @cached_property
+    def _rank(self):
+        """Per vertex, its position in _order: reads _embed's images by vertex."""
+        rank = [0] * self.n
+        for i, v in enumerate(self._order):
+            rank[v] = i
+        return tuple(rank)
+
+    @cached_property
     def _checks(self):
         """_embed's checks for placing self in _order as a pattern."""
         return _placement_checks(self, self._order)
@@ -117,6 +131,22 @@ class _Tables:
     def _hom_checks(self):
         """_embed's checks for placing self in _order as a hom source."""
         return _placement_checks(self, self._order, every=False)
+
+    @cached_property
+    def _pins(self):
+        """The orientation search's pin plan for self as a pattern (_pin_plan)."""
+        return _pin_plan(self)
+
+    @cached_property
+    def _hom_pins(self):
+        """The orientation search's pin plan for self as a hom source."""
+        return _pin_plan(self, every=False)
+
+    @cached_property
+    def _components(self):
+        """The weakly connected components as induced subdigraphs, in
+        connected_components' order."""
+        return tuple(induced_subdigraph(self, c) for c in connected_components(self))
 
     @cached_property
     def _hom_host(self):
@@ -385,6 +415,21 @@ def _placement_checks(d: Digraph, order, every=True):
     return tuple(tuple(_pair(pos[x], (inn[y] >> x & 1) | (out[y] >> x & 1) << 1)
                        for x in (order[i + 1:] if every else _bits(nbr[y])) if pos[x] > i)
                  for i, y in enumerate(order))
+
+
+def _pin_plan(d: Digraph, every=True):
+    """d's pins for the orientation search, one per arc x -> y of d, x and y
+    in _order: (x, y, the _placement_checks for placing x, y and then the
+    rest of _order, the rest).  It reads d alone; search._prepare adds a
+    host's domains."""
+    order, out = d._order, d._adj[0]
+    plan = []
+    for x in order:
+        for y in order:
+            if out[x] >> y & 1:
+                rest = tuple(z for z in order if z != x and z != y)
+                plan.append((x, y, _placement_checks(d, (x, y, *rest), every), rest))
+    return tuple(plan)
 
 
 @lru_cache(maxsize=None)

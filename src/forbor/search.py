@@ -26,8 +26,8 @@ from itertools import product
 from .duality import hom_exists
 from .graphs import (
     Graph, OrientedGraph, Orientation, WorkBudgetExceeded, _allowed, _closure, _embed,
-    _placement_checks, canonical_form, connected_components, contains_induced,
-    enumerate_graphs, induced_subdigraph, is_acyclic, make_cycle,
+    canonical_form, connected_components, contains_induced, enumerate_graphs, is_acyclic,
+    make_cycle,
 )
 from .words import enumerate_periods, forbidden_factor_set
 
@@ -147,15 +147,11 @@ def overlap_contains(h: OrientedGraph, d: OrientedGraph) -> bool:
     full induced containment for disconnected h and identical for
     connected h.
     """
-    return all(contains_induced(c, d) is not None for c in _components_of(h))
+    return all(contains_induced(c, d) is not None for c in h._components)
 
 
 # ---------------------------------------------------------------------------
 # the orientation search
-
-
-def _components_of(h: OrientedGraph):
-    return tuple(induced_subdigraph(h, c) for c in connected_components(h))
 
 
 def _prepare(h: OrientedGraph, g: Graph, hom: bool):
@@ -167,23 +163,17 @@ def _prepare(h: OrientedGraph, g: Graph, hom: bool):
     read from g._at_least, which an orientation of g shares with g, as
     contains_induced reads it.  A hom may fold h anywhere, so hom mode
     checks adjacent positions only, as hom_exists does, with no degree filter.
+    Everything but the domains is h's pin plan (h._pins, h._hom_pins), built
+    once per pattern; only the domains are read from g, on every call.
 
     Hom mode may prune as soon as h maps into the decided arcs: such a map
     stays a map in every completion, and a map that is new once u -> v is
     decided sends some arc of h onto u -> v.  At a leaf nothing is
     undecided, so the leaf's test is hom_exists on the orientation.
     """
-    order, out = h._order, h._adj[0]
     allowed = [(1 << g.n) - 1] * h.n if hom else _allowed(h, g)
-    pins = []
-    for x in order:
-        for y in order:
-            if out[x] >> y & 1:
-                rest = [z for z in order if z != x and z != y]
-                pins.append((allowed[x], allowed[y],
-                             _placement_checks(h, [x, y, *rest], every=not hom),
-                             [allowed[z] for z in rest]))
-    return pins
+    return [(allowed[x], allowed[y], checks, [allowed[z] for z in rest])
+            for x, y, checks, rest in (h._hom_pins if hom else h._pins)]
 
 
 def _embeds_through(pins, host, u, v):
@@ -217,7 +207,7 @@ def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,
     hom = mode.containment == "hom"
     # an induced member embeds whole; a hom or overlap member embeds once
     # each of its components does, the images free to overlap
-    patterns = [(h,) if mode.containment == "induced" else _components_of(h)
+    patterns = [(h,) if mode.containment == "induced" else h._components
                 for h in F.members]
     prepared = [[_prepare(c, g, hom) for c in comps] for comps in patterns]
 
@@ -398,8 +388,7 @@ def reduce_to_connected(F: ForbiddenSet, n_verify: int = 5):
     if F.all_connected:
         return F, ReduceReport(0, n_verify, F)
     connected = [h for h in F.members if len(connected_components(h)) == 1]
-    splittable = [h for h in F.members if len(connected_components(h)) > 1]
-    choice_lists = [_components_of(h) for h in splittable]
+    choice_lists = [h._components for h in F.members if len(connected_components(h)) > 1]
     universe = [g for n in range(1, n_verify + 1) for g in enumerate_graphs(n)]
 
     @lru_cache(maxsize=None)

@@ -7,17 +7,21 @@ hom_exists's first maps and work counts are gated in test_duality.py.
 """
 
 import json
+import math
 from itertools import product
 
-from conftest import allowed_oracle, induced_embeddings_oracle
+from conftest import allowed_oracle, b1, c3, induced_embeddings_oracle, p3, tt3
 
 from forbor import (
     Digraph, ForbiddenSet, Graph, Orientation, OrientedGraph, SearchMode,
     admits_orientation, contains_induced, coupling, directed_cycle, directed_path,
-    disjoint_union, enumerate_digraphs, enumerate_graphs, make_cycle, make_path,
-    orientations_of, transitive_tournament, verify_orientation, word_to_path,
+    disjoint_union, enumerate_digraphs, enumerate_graphs, hom_exists, known_duality_catalog,
+    make_cycle, make_path, orientations_of, transitive_tournament, verify_orientation,
+    word_to_path,
 )
+from forbor import duality, graphs, search
 from forbor.cli import run
+from forbor.duality import _hom_images
 from forbor.graphs import _allowed
 from forbor.io import digraph_to_text, graph_to_text
 
@@ -228,3 +232,67 @@ def test_witness_shares_the_searched_graphs_relation_0():
         for containment in ("induced", "hom", "overlap"):
             verdict = admits_orientation(g, F, SearchMode(containment))
             assert verdict.admits and verdict.witness._host[0] is g._host[0]
+
+
+def test_hom_witness_reads_images_through_rank():
+    """The witness read through _rank equals the sort over _order it replaced,
+    on every ordered pair of digraphs on <= 3 vertices and on the catalog
+    pairs against every digraph on <= 4 vertices, both ways."""
+    small = [d for n in range(1, 4) for d in enumerate_digraphs(n)]
+    universe = [d for n in range(1, 5) for d in enumerate_digraphs(n)]
+    pairs = list(product(small, small))
+    for _, source, target, _ in known_duality_catalog():
+        pairs += [(source, d) for d in universe] + [(d, target) for d in universe]
+    found = 0
+    for a, b in pairs:
+        images = _hom_images(a, b, (1 << b.n) - 1, math.inf)
+        old = None if images is None else tuple(w for _, w in sorted(zip(a._order, images)))
+        w = hom_exists(a, b)
+        assert (w and w.mapping) == old, (a, b)
+        found += w is not None
+    assert 0 < found < len(pairs)
+
+
+PIN_FSETS = [(p3(), tt3(), c3()), (directed_path(3),), (b1(),),
+             (b1(), disjoint_union(directed_path(1), directed_path(1)))]
+SMALL_GRAPHS = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+
+
+def test_a_reused_forbidden_set_searches_as_a_fresh_one():
+    """One ForbiddenSet searched on every graph on <= 5 vertices in turn
+    gives each the verdict, witness and work of a set built for that call
+    alone, so its per-pattern tables keep nothing of an earlier host."""
+    admits = set()
+    for members, mode in product(PIN_FSETS, MODES):
+        F = ForbiddenSet(members)
+        for g in SMALL_GRAPHS:
+            reused, fresh = (admits_orientation(g, S, mode)
+                             for S in (F, ForbiddenSet(members)))
+            assert (reused.admits, reused.work) == (fresh.admits, fresh.work), (g, mode)
+            assert (reused.witness and reused.witness.arcs) == \
+                (fresh.witness and fresh.witness.arcs), (g, mode)
+            admits.add(reused.admits)
+    assert admits == {False, True}
+
+
+def test_pattern_tables_are_built_once_per_pattern(monkeypatch):
+    """Once every graph on <= 5 vertices has been searched, searching them
+    all again builds no placement checks and no component digraph."""
+    calls = []
+    for name in ("_placement_checks", "induced_subdigraph"):
+        def counted(*args, original=getattr(graphs, name), name=name, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        for module in (graphs, search, duality):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    fsets = [ForbiddenSet(members) for members in PIN_FSETS]
+    for F, mode in product(fsets, MODES):
+        for g in SMALL_GRAPHS:
+            admits_orientation(g, F, mode)
+    assert "_placement_checks" in calls and "induced_subdigraph" in calls
+    calls.clear()
+    for F, mode in product(fsets, MODES):
+        for g in SMALL_GRAPHS:
+            admits_orientation(g, F, mode)
+    assert calls == []
