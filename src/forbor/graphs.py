@@ -12,9 +12,12 @@ it.  Its tables (_Tables) read n and arcs, and a graph's arcs are both
 directions of each edge, so every kernel entry point takes a Graph,
 Digraph or Orientation as it is; an orientation shares its base graph's
 adjacency, non-adjacency and degrees.  Each value builds these tables
-once, as a host and as a pattern: a pattern's placement checks, its pin
-plans for the orientation search, its components and the rank that reads
-a hom's images back by vertex.  It needs only the standard library.
+once, as a host and as a pattern: a pattern's placement checks, its
+per-position degrees, its pin plans for the orientation search, its
+components and the rank that reads a hom's images back by vertex.  An
+orientation stream (orientations_of) builds none of them from arcs: it
+flips the changed edges' bits in running out- and in-masks and hands
+each orientation its tables.  It needs only the standard library.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 
 #: hard cap for exhaustive isomorphism-class enumeration
 ENUM_LIMIT = 5
@@ -37,8 +40,11 @@ class WorkBudgetExceeded(RuntimeError):
 
 
 def _check_pairs(pairs, n):
-    """Raise ValueError for the first pair with an end that is not an int
-    (a bool is not one), an end outside [0, n), or a loop."""
+    """Raise ValueError if the order n is not a non-negative int (a bool is
+    not one), else for the first pair with an end that is not an int, an
+    end outside [0, n), or a loop."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"order {n!r} is not a non-negative integer")
     for u, v in pairs:
         if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v):
             for w in (u, v):
@@ -121,6 +127,13 @@ class _Tables:
         for i, v in enumerate(self._order):
             rank[v] = i
         return tuple(rank)
+
+    @cached_property
+    def _needs(self):
+        """Per position of _order, its vertex's underlying degree: the
+        least degree of a host vertex it may take in contains_induced."""
+        nbr = self._adj[2]
+        return tuple(nbr[v].bit_count() for v in self._order)
 
     @cached_property
     def _checks(self):
@@ -493,13 +506,21 @@ def contains_induced(h: Digraph, d: Digraph):
     degree order, images tried in ascending order) or None.  The image's
     induced subdigraph of d is exactly isomorphic to h: arcs and non-arcs
     both have to match.  It reads d's relations (_host) and degree masks
-    (_at_least), built once per value, and an orientation's once per base.
+    (_at_least), built once per value, and an orientation's once per base,
+    against h's per-position degrees (_needs), built once per pattern.
     """
+    images = _induced_images(h, d)
+    return None if images is None else dict(zip(h._order, images))
+
+
+def _induced_images(h, d):
+    """_embed's images, in h._order, for contains_induced's first
+    embedding of h in d, or None."""
     if h.n > d.n:
         return None
-    allowed = _allowed(h, d)
-    images = _embed(d._host, h._checks, [allowed[x] for x in h._order])
-    return None if images is None else dict(zip(h._order, images))
+    at = d._at_least
+    top = len(at)
+    return _embed(d._host, h._checks, [at[k] if k < top else 0 for k in h._needs])
 
 
 def is_acyclic(d: Digraph) -> bool:
@@ -532,12 +553,43 @@ def orientations_of(g: Graph, acyclic_only: bool = False):
     Edges are taken in sorted order; for each edge the direction low->high
     is tried before high->low, with the last edge varying fastest.  With
     acyclic_only the stream is filtered down to acyclic orientations.
+
+    The directions advance as an odometer (mixed-radix generation, Knuth,
+    TAOCP 4A, 7.2.1.1, Algorithm M): a step turns the trailing high->low
+    edges back to low->high and the edge before them to high->low, and
+    flips each changed edge's bits in running out- and in-mask lists.
+    Every orientation is still validated by Orientation(g, arcs); it is
+    handed its _adj (the two masks and g's neighbour masks) and its _host
+    (g's relation 0, in, out and one zero tuple shared by the stream), so
+    it never rebuilds them from its arcs.
     """
-    for arcs in product(*(((u, v), (v, u)) for u, v in g.sorted_edges())):
+    edges = g.sorted_edges()
+    nbr, rel0 = g._adj[2], g._host[0]
+    zero = (0,) * g.n
+    arcs = list(edges)
+    out = [0] * g.n
+    inn = [0] * g.n
+    for u, v in edges:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    while True:
         o = Orientation(g, arcs)
-        if acyclic_only and not is_acyclic(o):
-            continue
-        yield o
+        o_out, o_inn = tuple(out), tuple(inn)
+        vars(o).update(_adj=(o_out, o_inn, nbr), _host=(rel0, o_inn, o_out, zero))
+        if not acyclic_only or is_acyclic(o):
+            yield o
+        for i in reversed(range(len(edges))):      # the odometer's carry
+            u, v = edges[i]
+            out[u] ^= 1 << v
+            inn[u] ^= 1 << v
+            out[v] ^= 1 << u
+            inn[v] ^= 1 << u
+            if arcs[i] is edges[i]:
+                arcs[i] = (v, u)
+                break
+            arcs[i] = edges[i]                      # high->low wraps to low->high
+        else:
+            return
 
 
 def girth(g: Graph):

@@ -26,7 +26,7 @@ from itertools import product
 from .duality import hom_exists
 from .graphs import (
     Graph, OrientedGraph, Orientation, WorkBudgetExceeded, _allowed, _closure, _embed,
-    canonical_form, connected_components, contains_induced, enumerate_graphs, is_acyclic,
+    _induced_images, canonical_form, connected_components, enumerate_graphs, is_acyclic,
     make_cycle,
 )
 from .words import enumerate_periods, forbidden_factor_set
@@ -147,7 +147,7 @@ def overlap_contains(h: OrientedGraph, d: OrientedGraph) -> bool:
     full induced containment for disconnected h and identical for
     connected h.
     """
-    return all(contains_induced(c, d) is not None for c in h._components)
+    return all(_induced_images(c, d) is not None for c in h._components)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +186,17 @@ def _embeds_through(pins, host, u, v):
 
 
 def verify_orientation(o: Orientation, F: ForbiddenSet, mode: SearchMode) -> bool:
-    """Independent pass on o's arcs alone: does the orientation avoid everything?"""
+    """Independent pass on o's arcs alone: does the orientation avoid everything?
+
+    Induced and overlap containment ask the kernel for images only, with no
+    embedding dict built (_induced_images)."""
     if mode.acyclic and not is_acyclic(o):
         return False
     if mode.containment == "hom":
         return not any(hom_exists(h, o) is not None for h in F.members)
     if mode.containment == "overlap":
         return not any(overlap_contains(h, o) for h in F.members)
-    return not any(contains_induced(h, o) is not None for h in F.members)
+    return not any(_induced_images(h, o) is not None for h in F.members)
 
 
 def admits_orientation(g: Graph, F: ForbiddenSet, mode: SearchMode,

@@ -42,9 +42,9 @@ def test_invariants_reject_bad_values():
 P2 = make_path(2)
 
 #: every invalid input names its first offending item, in the set's
-#: iteration order, and checks run in the order listed: integer type,
-#: range, loop, symmetric pair; for orientations, non-edge arc, edge
-#: oriented twice, then missing edge
+#: iteration order, and checks run in the order listed: the order, then
+#: integer type, range, loop, symmetric pair; for orientations, non-edge
+#: arc, edge oriented twice, then missing edge
 BAD_VALUES = [
     (lambda: Graph(2, frozenset({(0, 3)})), "vertex 3 out of range [0, 2)"),
     (lambda: Graph(2, frozenset({(3, 0)})), "vertex 3 out of range [0, 2)"),
@@ -90,6 +90,13 @@ BAD_VALUES = [
     (lambda: Orientation(P2, [(0, 1), (2, True)]),
      "vertex True of pair (2, True) is not an integer"),
     (lambda: Orientation(P2, [(1, 0), ('2', 1)]), "vertex '2' of pair ('2', 1) is not an integer"),
+    (lambda: Graph(-1), "order -1 is not a non-negative integer"),
+    (lambda: Digraph(-2), "order -2 is not a non-negative integer"),
+    (lambda: Graph(2.5, [(0, 1)]), "order 2.5 is not a non-negative integer"),
+    (lambda: Graph(True), "order True is not a non-negative integer"),
+    (lambda: OrientedGraph(-1, [(0, 0)]), "order -1 is not a non-negative integer"),
+    (lambda: Graph("3", [(0, 'a')]), "order '3' is not a non-negative integer"),
+    (lambda: Digraph(2.0, frozenset({(0, 1)})), "order 2.0 is not a non-negative integer"),
 ]
 
 
@@ -191,6 +198,13 @@ def test_orientations_deterministic_order():
     assert sorted(first.arcs) == [(0, 1), (1, 2)]
     assert [sorted(o.arcs) for o in orientations_of(g)] == \
         [sorted(o.arcs) for o in orientations_of(g)]
+
+
+def test_order_zero_stays_valid():
+    for d in (Graph(0), Digraph(0), OrientedGraph(0)):
+        assert d.n == 0 and not d.arcs and is_acyclic(d)
+        assert canonical_form(d).n == 0 and connected_components(d) == []
+    assert [o.arcs for o in orientations_of(Graph(0))] == [frozenset()]
 
 
 def test_orientation_validation():

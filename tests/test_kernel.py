@@ -6,18 +6,19 @@ search order, witnesses and work counters must stay exactly as they were.
 hom_exists's first maps and work counts are gated in test_duality.py.
 """
 
+import inspect
 import json
 import math
-from itertools import product
+from itertools import chain, combinations, product
 
 from conftest import allowed_oracle, b1, c3, induced_embeddings_oracle, p3, tt3
 
 from forbor import (
     Digraph, ForbiddenSet, Graph, Orientation, OrientedGraph, SearchMode,
     admits_orientation, contains_induced, coupling, directed_cycle, directed_path,
-    disjoint_union, enumerate_digraphs, enumerate_graphs, hom_exists, known_duality_catalog,
-    make_cycle, make_path, orientations_of, transitive_tournament, verify_orientation,
-    word_to_path,
+    disjoint_union, enumerate_digraphs, enumerate_graphs, hom_exists, is_acyclic,
+    known_duality_catalog, make_cycle, make_path, orientations_of, transitive_tournament,
+    verify_orientation, word_to_path,
 )
 from forbor import duality, graphs, search
 from forbor.cli import run
@@ -183,14 +184,48 @@ def shared_table_cases(rng):
 
 def test_orientation_tables_match_the_generic_route(rng):
     """An orientation's tables, shared with its base graph, equal those a
-    Digraph on the same arcs builds from its arcs alone."""
+    Digraph on the same arcs builds from its arcs alone, in plain and in
+    acyclic streams."""
+    acyclic = (o for n in range(1, 6) for g in enumerate_graphs(n)
+               for o in orientations_of(g, acyclic_only=True))
     seen = 0
-    for o in shared_table_cases(rng):
+    for o in chain(shared_table_cases(rng), acyclic):
         d = Digraph(o.n, o.arcs)
         assert o._adj == d._adj and o._host == d._host and o._at_least == d._at_least
         assert o._adj[2] is o.base._adj[2] and o._host[0] is o.base._host[0]
         seen += 1
     assert seen > 3000
+
+
+def product_stream(g, acyclic_only):
+    """orientations_of as it was: every direction tuple of itertools.product
+    over the sorted edges, low->high first and the last edge fastest, each
+    built by Orientation(g, arcs), whose tables come from its arcs."""
+    for arcs in product(*(((u, v), (v, u)) for u, v in g.sorted_edges())):
+        o = Orientation(g, arcs)
+        if not acyclic_only or is_acyclic(o):
+            yield o
+
+
+def test_odometer_stream_equals_the_product_stream(rng):
+    """The odometer gives the product stream's orientations, in its order
+    and with its tables, for every graph class on <= 5 vertices and 40
+    seeded random graphs on 6-9 vertices, with and without acyclic_only."""
+    cases = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    for _ in range(40):
+        n = rng.randint(6, 9)
+        edges = rng.sample(list(combinations(range(n), 2)), rng.randint(0, 10))
+        cases.append(Graph(n, frozenset(edges)))
+    streamed = set()
+    for g, acyclic_only in product(cases, (False, True)):
+        got = list(orientations_of(g, acyclic_only))
+        want = list(product_stream(g, acyclic_only))
+        assert got == want
+        for o, p in zip(got, want):
+            assert o._adj == p._adj and o._host == p._host
+        streamed.add(len(got))
+    assert inspect.isgeneratorfunction(orientations_of)
+    assert len(streamed) > 20 and max(streamed) == 1024
 
 
 def test_orientation_containment_matches_the_generic_route(rng):
