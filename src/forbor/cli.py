@@ -93,7 +93,8 @@ def _run_lang(args, texts):
         return ({"kmax": args.k_max, "nonconstant": args.nonconstant, "periods": ks},
                 ["periods " + " ".join(map(str, ks))])
     ps = period_structure(A, nonconstant_only=args.nonconstant)
-    result = dict(vars(ps))
+    result = {k: getattr(ps, k) for k in ("gcd_r", "threshold_t0", "exceptions", "transitive",
+                                          "nonconstant_variant", "observed", "verified_to")}
     lines = [f"gcd_r {ps.gcd_r}", f"threshold_t0 {ps.threshold_t0}",
              f"exceptions {list(ps.exceptions)}", f"transitive {ps.transitive}"]
     return result, lines

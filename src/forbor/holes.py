@@ -1,15 +1,15 @@
 """Necessary-condition analysis for classes defined by forbidden hole lengths.
 
 A hole is an induced cycle of length at least four; a hole-class spec
-describes the forbidden lengths C by a bounded membership sample plus a
-declared tail (finite / cofinite / odd tail / unstructured).  The checks
-here decide which necessary conditions for expressibility by forbidden
-(acyclic) orientations the class violates, and the trichotomy verdict is
-read off the failed checks alone.  Tail behaviour is always declared,
-never inferred: every verdict is a rule application, not an extrapolation,
-and passing classes are only ever reported as candidates.  A declared
-variant's thresholds follow from its declaration; only a custom spec is
-sampled for them.
+holds the forbidden lengths C as a `words.PeriodicSet` whose rule is the
+declared tail (finite / cofinite / odd tail), or as a predicate sampled
+up to a bound when the tail is unstructured.  The checks here decide
+which necessary conditions for expressibility by forbidden (acyclic)
+orientations the class violates, and the trichotomy verdict is read off
+the failed checks alone.  Tail behaviour is always declared, never
+inferred: every verdict is a rule application, not an extrapolation, and
+passing classes are only ever reported as candidates.  Thresholds are
+read off the set, so their cost does not grow with a declared threshold.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+
+from .words import PeriodicSet
 
 RULE_MULTIPLES = "nec:multiples"
 RULE_INFINITE_CYCLES = "nofiniteC"
@@ -32,6 +33,10 @@ RULE_TRICHOTOMY_PLAIN = "thm:main"
 #: - other: infinite and coinfinite, with no eventual arithmetic structure
 #:   (in particular never eventually equal to the non-multiples of any r)
 TAIL_KINDS = ("finite", "cofinite", "odd_tail", "other")
+#: the rule (modulus, residues) of each periodic tail kind
+_RULES = {"finite": (1, frozenset()), "cofinite": (1, frozenset({0})),
+          "odd_tail": (2, frozenset({1}))}
+_KINDS = {rule: kind for kind, rule in _RULES.items()}
 
 VERDICT_PASS = "NecessaryConditionsPass"
 VERDICT_NOT_ANY = "NotExpressibleAny"
@@ -39,35 +44,33 @@ VERDICT_NOT_ACYCLIC = "NotExpressibleAcyclic"
 
 
 def _clamped(lengths):
-    lengths = tuple(sorted(set(lengths)))
-    short = [k for k in lengths if k < 4]
+    short = sorted({k for k in lengths if k < 4})
     if short:
         warnings.warn(f"hole lengths below 4 dropped: {short}", stacklevel=3)
-    return tuple(k for k in lengths if k >= 4)
+    return frozenset(k for k in lengths if k >= 4)
 
 
 @dataclass(frozen=True)
 class HoleClassSpec:
-    """A set C of forbidden hole lengths, with declared tail behaviour."""
+    """Forbidden hole lengths C, all >= 4: `lengths`, whose rule is a tail of
+    `_RULES`, or with the `other` tail a `membership` predicate read up to
+    `bound`, which also caps every sample the checks take."""
 
-    variant: str
-    members: tuple = ()
-    threshold: int = 0
+    lengths: PeriodicSet | None
     membership: object = None
     bound: int = 200
-    tail: str = ""
 
     @classmethod
     def finite(cls, lengths):
         ls = _clamped(lengths)
-        return cls("finite", members=ls, tail="finite",
+        return cls(PeriodicSet(4, *_RULES["finite"], ls),
                    bound=max(200, max(ls, default=0) + 1))
 
     @classmethod
     def cofinite_complement(cls, missing):
         """C contains every length >= 4 except the listed ones."""
         ls = _clamped(missing)
-        return cls("cofinite_complement", members=ls, tail="cofinite",
+        return cls(PeriodicSet(4, *_RULES["cofinite"], ls),
                    bound=max(200, max(ls, default=0) + 1))
 
     @classmethod
@@ -78,7 +81,7 @@ class HoleClassSpec:
         ex = _clamped(exceptions)
         if any(k >= threshold for k in ex):
             raise ValueError("odd-tail exceptions must lie below the threshold")
-        return cls("odd_tail", members=ex, threshold=threshold, tail="odd_tail",
+        return cls(PeriodicSet(threshold, *_RULES["odd_tail"], ex),
                    bound=max(200, threshold + 1))
 
     @classmethod
@@ -87,26 +90,23 @@ class HoleClassSpec:
             raise ValueError(f"declared tail must be one of {TAIL_KINDS}")
         if bound < 50:
             raise ValueError("custom specs need a sample bound of at least 50")
-        return cls("custom", membership=membership, bound=bound, tail=tail)
+        if tail == "other":
+            return cls(None, membership, bound)
+        sample = frozenset(k for k in range(4, bound + 1) if membership(k))
+        return cls(PeriodicSet(bound + 1, *_RULES[tail], sample), bound=bound)
 
     def forbids(self, k: int) -> bool:
-        """Is length k in C?  Valid for 4 <= k <= bound (all variants)."""
-        if k < 4:
-            return False
-        if self.variant == "finite":
-            return k in self.members
-        if self.variant == "cofinite_complement":
-            return k not in self.members
-        if self.variant == "odd_tail":
-            return (k % 2 == 1) if k >= self.threshold else (k in self.members)
+        """Is length k in C?  A predicate is read only for 4 <= k <= bound."""
+        s = self.lengths
+        if s is not None:  # PeriodicSet.contains, inlined: verdicts call this per length
+            return (k >= s.start and k % s.modulus in s.residues) != (k in s.flips)
         if k > self.bound:
             raise ValueError(f"custom spec sampled only up to {self.bound}")
-        return bool(self.membership(k))
+        return k >= 4 and bool(self.membership(k))
 
     def tail_kind(self) -> str:
-        if not self.tail:
-            raise ValueError("spec has no declared tail")
-        return self.tail
+        s = self.lengths
+        return "other" if s is None else _KINDS[s.modulus, s.residues]
 
 
 def cycles_in_class(spec: HoleClassSpec, k_max: int):
@@ -131,33 +131,24 @@ class CheckResult:
 
 
 def _tail_threshold(spec: HoleClassSpec) -> int:
-    """One past the last length departing from a declared finite or odd tail.
+    """One past the last length >= 4 at which C departs from its rule.
 
-    A length departs when it is a declared member, or when its presence
-    differs from the tail's (finite: every length present; odd tail:
-    exactly the even lengths present).  A declared variant departs only at
-    its members, and an odd tail from M also at the largest odd length
-    below M (present, where the tail forbids it) once that is at least 5,
-    so the threshold is a closed form however large M or a member is.  A
-    custom spec's predicate is known only by sampling, so its lengths are
-    read up to spec.bound.
+    Past its start C departs from its rule only at flips, so the walk down
+    starts below the start or at the largest flip, whichever is larger.
     """
-    if spec.variant == "custom":
-        finite = spec.tail_kind() == "finite"
-        departing = [k for k in range(4, spec.bound + 1)
-                     if spec.forbids(k) == (finite or k % 2 == 0)]
-    else:
-        last_odd = spec.threshold - 1 - spec.threshold % 2
-        departing = [last_odd] if spec.variant == "odd_tail" and last_odd >= 5 else []
-    return max(departing + list(spec.members), default=3) + 1
+    s = spec.lengths
+    k = max(s.start - 1, max(s.flips, default=0))
+    while k >= 4 and s.contains(k) == (k % s.modulus in s.residues):
+        k -= 1
+    return k + 1
 
 
 def check_multiples_closure(spec: HoleClassSpec, k_max: int = 120) -> CheckResult:
     """Some threshold must make the cycle lengths closed under multiples.
 
-    A declared finite or odd tail passes: past the last sampled length
-    departing from it, the present lengths (all, or all even) are closed
-    under multiples.  Otherwise it fails when violating pairs (k present,
+    A declared finite or odd tail passes: past the last length departing
+    from it, the present lengths (all, or all even) are closed under
+    multiples.  Otherwise it fails when violating pairs (k present,
     lk absent) persist above every admissible threshold; the witnesses
     are valid for all of them, led by the smallest violating pair.
     """
@@ -229,19 +220,18 @@ def check_coupling_cofiniteness(spec: HoleClassSpec, k_max: int = 120) -> CheckR
     # which the declaration excludes
     cyc = cycles_in_class(spec, min(k_max, spec.bound))
     sample = sorted(k for k in cyc if k >= 4)
-    r = reduce(math.gcd, sample, 0)
     witnesses = ()
-    g = 0
+    r = 0  # the gcd of the sample so far; each witness lowers it
     for k in sample:
-        if math.gcd(g, k) != g:
+        if math.gcd(r, k) != r:
             witnesses += (k,)
-            g = math.gcd(g, k)
-        if g == r:
-            break
+            r = math.gcd(r, k)
     return CheckResult(False, rule=RULE_COUPLING, gcd_r=r, witnesses=witnesses,
                        note=f"sampled lengths {list(witnesses)} force gcd {r}, "
                             "and the declared coinfinite tail leaves infinitely "
-                            f"many multiples of {r} missing")
+                            f"many multiples of {r} missing" if sample else
+                            "no length from 4 up is present in the sample, so the "
+                            "refutation rests on the declared coinfinite tail alone")
 
 
 @dataclass(frozen=True)

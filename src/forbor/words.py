@@ -5,9 +5,9 @@ Words are plain strings over the two letters ``>`` (a forward step) and
 the path on k edges.  A finite set of forbidden factors A determines the
 hereditary language of A-free words, realized here by a deterministic
 suffix-window automaton.  On top of that sit the period computations:
-which lengths k admit a k-word all of whose powers stay A-free, and the
-arithmetic structure (gcd, threshold, finite exception list) of that set
-when the language is transitive.
+which lengths k admit a k-word all of whose powers stay A-free, that set
+as a `PeriodicSet` (which also holds a hole class's forbidden lengths),
+and its gcd, threshold and exceptions when the language is transitive.
 
 The automaton is one integer successor table, and every walk over it
 reads that table by state position.  Transitivity is two reachability
@@ -398,6 +398,20 @@ def periodic_word(A: FactorSet, k: int, nonconstant: bool = False):
 
 
 @dataclass(frozen=True)
+class PeriodicSet:
+    """Ultimately periodic set: k is a member when (k >= start and
+    k % modulus in residues) XOR k in flips, the finitely many departures."""
+
+    start: int
+    modulus: int
+    residues: frozenset
+    flips: frozenset
+
+    def contains(self, k: int) -> bool:
+        return (k >= self.start and k % self.modulus in self.residues) != (k in self.flips)
+
+
+@dataclass(frozen=True)
 class PeriodStructure:
     """Arithmetic description of the (nonconstant) period set.
 
@@ -407,8 +421,8 @@ class PeriodStructure:
     verified_to is at least the step at which `period_structure` saw the
     walk recurrence repeat, so it covers every exception.
     When transitive is not set only `observed` (the periods up to
-    verified_to, read off the same walk) and their gcd carry information;
-    no structural claim is made.
+    verified_to) and their gcd are reported.  `periods`, the exact set, is
+    None only when a non-transitive walk reached verify_to unrepeated.
     """
 
     gcd_r: int
@@ -418,6 +432,7 @@ class PeriodStructure:
     nonconstant_variant: bool
     observed: tuple = ()
     verified_to: int = 0
+    periods: PeriodicSet | None = None
 
     def __post_init__(self):
         if self.transitive:
@@ -427,11 +442,10 @@ class PeriodStructure:
                         f"bad exception {e} for r={self.gcd_r}, t0={self.threshold_t0}")
 
     def contains(self, k: int) -> bool:
-        """Predicted membership of k in the period set (transitive case only)."""
-        if not self.transitive:
-            raise ValueError("no structural prediction for a non-transitive language")
-        return self.gcd_r > 0 and k >= 1 and k % self.gcd_r == 0 \
-            and k not in self.exceptions
+        """Membership of k in the period set; raises if the walk never repeated."""
+        if self.periods is None:
+            raise ValueError("the walk reached verify_to before it repeated")
+        return self.periods.contains(k)
 
 
 def period_structure(A: FactorSet, nonconstant_only: bool = False,
@@ -442,12 +456,12 @@ def period_structure(A: FactorSet, nonconstant_only: bool = False,
     repeated state (Brent's method: the mark moves to the state at each
     power of two).  The k-walk matrix fixes every later one, so a repeat
     state(c) = state(c - p) makes the flags beyond c repeat with period p;
-    they are extended to max(c + p, verify_to).  For a non-transitive
-    language verify_to is the budget: the run stops there at the latest,
-    and only the periods up to it and their gcd are reported.  For a
-    transitive one the set is exact: gcd_r is the gcd of the periods (those
-    up to c + p bring in p), the exceptions are the non-periods among the
-    multiples of gcd_r up to c, and verified_to is max(verify_to, c).
+    they are extended to max(c + p, verify_to), and `periods` takes those
+    from c - p + 1 to c as its rule mod p.  For a non-transitive language
+    verify_to is the budget: the run stops there at the latest.  For a
+    transitive one gcd_r is the gcd of the periods (those up to c + p bring
+    in p), the exceptions are the non-periods among the multiples of gcd_r
+    up to c, and verified_to is max(verify_to, c).
 
     A transitive language needs no budget.  By `is_transitive`'s criterion
     its walk graph is strongly connected with an arc: the first full state
@@ -470,15 +484,18 @@ def period_structure(A: FactorSet, nonconstant_only: bool = False,
         if c & (c - 1) == 0:  # c is a power of two: move the mark
             mark, marked_at = state, c
     p = c - marked_at if state == mark else 0  # 0: stopped at the budget
+    start = c - p + 1
+    exact = PeriodicSet(start, p, frozenset(k % p for k in range(start, c + 1) if flags[k - 1]),
+                        frozenset(k for k in range(1, start) if flags[k - 1])) if p else None
     while len(flags) < max(c + p, verify_to):
         flags.append(flags[-p])
     periods = [k for k, closed in enumerate(flags, 1) if closed]
     observed = tuple(k for k in periods if k <= verify_to)
     if not transitive:
         return PeriodStructure(math.gcd(*observed), 0, (), False, nonconstant_only,
-                               observed, verify_to)
+                               observed, verify_to, exact)
     r = math.gcd(*periods)
     exceptions = tuple(k for k in range(r, c + 1, r) if not flags[k - 1]) if r else ()
     t0 = exceptions[-1] + r if exceptions else max(r, 1)
     return PeriodStructure(r, t0, exceptions, True, nonconstant_only, observed,
-                           max(verify_to, c))
+                           max(verify_to, c), exact)

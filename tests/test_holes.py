@@ -35,7 +35,7 @@ def test_spec_validation_and_clamping():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         spec = HoleClassSpec.finite([3, 5, 7])
-        assert spec.members == (5, 7)
+        assert [k for k in range(1, 10) if spec.forbids(k)] == [5, 7]
         assert caught and "dropped" in str(caught[0].message)
     with pytest.raises(ValueError):
         HoleClassSpec.custom(is_prime, tail="sometimes")
@@ -69,7 +69,7 @@ def test_odd_tail_threshold_clamped_to_four():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         spec = HoleClassSpec.odd_tail(3)
-    assert spec.threshold == 4
+    assert spec.lengths.start == 4
     assert [str(w.message) for w in caught] == ["odd-tail threshold clamped to 4"]
 
 
@@ -180,10 +180,17 @@ def test_declared_candidates_pass_at_small_sample_bounds():
 
 
 def test_tail_thresholds_count_every_departing_length():
-    # 12 is absent although the odd tail keeps every even length present
+    # 12 is absent although the odd tail keeps every even length present;
+    # the odd exception 13 agrees with the tail, so it does not depart
     spec = HoleClassSpec.odd_tail(15, exceptions=[5, 7, 9, 11, 13, 12])
-    assert check_coupling_cofiniteness(spec).threshold == 14
-    assert check_multiples_closure(spec).threshold == 14
+    assert check_coupling_cofiniteness(spec).threshold == 13
+    assert check_multiples_closure(spec).threshold == 13
+    # declared or custom, {13} and the odd lengths from 15 depart last at
+    # 11, the last present odd length
+    spec = HoleClassSpec.odd_tail(15, [13])
+    for spec in (spec, HoleClassSpec.custom(spec.forbids, "odd_tail")):
+        assert check_coupling_cofiniteness(spec).threshold == 12
+        assert check_multiples_closure(spec).threshold == 12
     # a custom finite tail takes its forbidden lengths from the sample
     custom = HoleClassSpec.custom({10}.__contains__, tail="finite")
     assert check_coupling_cofiniteness(custom).threshold == 11
@@ -198,30 +205,81 @@ def test_tail_thresholds_count_every_departing_length():
     assert check_coupling_cofiniteness(custom, 120).threshold == 151
 
 
-def test_custom_spec_needs_declared_tail():
-    with pytest.raises(ValueError):
-        HoleClassSpec("custom", membership=is_prime, bound=200, tail="").tail_kind()
-
-
 def scanned_threshold(spec):
     """The tail threshold as a scan of every length up to spec.bound finds it."""
     finite = spec.tail_kind() == "finite"
     departing = [k for k in range(4, spec.bound + 1)
                  if spec.forbids(k) == (finite or k % 2 == 0)]
-    return max(departing + list(spec.members), default=3) + 1
+    return max(departing, default=3) + 1
+
+
+def odd_tail_formula(M, ex):
+    return lambda k: (k % 2 == 1) if k >= M else (k in ex)
+
+
+def declared_pool():
+    """Odd-tail and finite specs, each with the per-variant formula for its
+    forbidden lengths >= 4 that `forbids` dispatched on before the spec
+    held a PeriodicSet."""
+    pool = (4, 5, 6, 7, 9, 12, 20, 33)
+    specs = [(HoleClassSpec.odd_tail(M, ex), odd_tail_formula(M, ex))
+             for M in range(4, 61)
+             for ex in [()] + [(k,) for k in pool] + list(combinations(pool, 2))
+             if all(k < M for k in ex)]
+    specs += [(HoleClassSpec.finite(ls), ls.__contains__) for size in range(4)
+              for ls in combinations(range(4, 61), size)]
+    return specs
 
 
 def test_declared_thresholds_match_the_scan():
-    pool = (4, 5, 6, 7, 9, 12, 20, 33)
-    specs = [HoleClassSpec.odd_tail(M, ex) for M in range(4, 61)
-             for ex in [()] + [(k,) for k in pool] + list(combinations(pool, 2))
-             if all(k < M for k in ex)]
-    specs += [HoleClassSpec.finite(ls) for size in range(4)
-              for ls in combinations(range(4, 61), size)]
-    for spec in specs:
+    # a declared spec and its custom twin, the same set sampled from its
+    # formula, report the scanned threshold; the pool's lengths and
+    # thresholds lie below 61, so the twin's sample ends there
+    for spec, formula in declared_pool():
         want = scanned_threshold(spec)
-        assert check_multiples_closure(spec).threshold == want, spec
-        assert check_coupling_cofiniteness(spec).threshold == want, spec
+        twin = HoleClassSpec.custom(formula, spec.tail_kind(), bound=61)
+        for s in (spec, twin):
+            assert check_multiples_closure(s).threshold == want, spec
+            assert check_coupling_cofiniteness(s).threshold == want, spec
+
+
+#: the predicates of the custom specs checked below
+PREDICATES = (is_prime, lambda k: k % 2 == 0, {8}.__contains__, lambda k: k % 3 == 0)
+#: beyond its bound, a custom spec with a periodic tail follows the tail
+TAIL_RULES = {"finite": lambda k: False, "cofinite": lambda k: True,
+              "odd_tail": lambda k: k % 2 == 1}
+
+
+def test_forbids_matches_the_variant_formulas():
+    specs = declared_pool() + [
+        (HoleClassSpec.cofinite_complement(ls), lambda k, ls=ls: k not in ls)
+        for ls in ((), (4, 6), (5,), (4, 7, 150))]
+    specs += [(HoleClassSpec.odd_tail(M, ex), odd_tail_formula(M, ex))
+              for M, ex in ((5, ()), (9, (4, 6)), (15, (5, 12)), (29, (9,)),
+                            (399, (5, 200)), (1000, (7,)))]
+    specs += [(HoleClassSpec.custom(p, tail),
+               lambda k, p=p, tail=tail: p(k) if k <= 200 else TAIL_RULES[tail](k))
+              for p in PREDICATES for tail in TAIL_RULES]
+    for spec, formula in specs:
+        n = max(spec.bound, 400)
+        assert [k for k in range(1, n + 1) if spec.forbids(k)] \
+            == [k for k in range(4, n + 1) if formula(k)], spec
+    # an unstructured tail keeps its predicate, read only up to the bound
+    for p in PREDICATES:
+        spec = HoleClassSpec.custom(p, "other")
+        assert [k for k in range(1, 201) if spec.forbids(k)] == [k for k in range(4, 201) if p(k)]
+        with pytest.raises(ValueError, match="sampled only up to 200"):
+            spec.forbids(201)
+
+
+def test_coupling_refutation_without_present_lengths_rests_on_the_tail():
+    # every sampled length is forbidden, so no gcd and no witness exists
+    spec = HoleClassSpec.custom(range(4, 61).__contains__, "other", bound=60)
+    check = trichotomy_verdict(spec).checks["coupling_cofiniteness"]
+    assert (check.passed, check.rule, check.gcd_r, check.witnesses) \
+        == (False, "sncondition", 0, ())
+    assert check.note == ("no length from 4 up is present in the sample, so the "
+                          "refutation rests on the declared coinfinite tail alone")
 
 
 def test_declared_thresholds_read_only_the_sample(monkeypatch):
@@ -267,8 +325,7 @@ def test_verdict_matches_the_tail_dispatch():
              HoleClassSpec.cofinite_complement([]), HoleClassSpec.cofinite_complement([4, 6]),
              HoleClassSpec.odd_tail(4), HoleClassSpec.odd_tail(7, [4]),
              HoleClassSpec.odd_tail(15, [5, 12])]
-    predicates = (is_prime, lambda k: k % 2 == 0, {8}.__contains__, lambda k: k % 3 == 0)
-    specs += [HoleClassSpec.custom(p, tail) for p in predicates
+    specs += [HoleClassSpec.custom(p, tail) for p in PREDICATES
               for tail in ("finite", "cofinite", "odd_tail", "other")]
     for spec in specs:
         for k_max in (12, 30, 120):

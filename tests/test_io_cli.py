@@ -138,9 +138,9 @@ def test_parse_factor_set():
 
 def test_parse_hole_spec_variants():
     odd = parse_hole_spec("variant=odd_tail M=5\n")
-    assert odd.variant == "odd_tail" and odd.threshold == 5
+    assert odd.tail_kind() == "odd_tail" and odd.lengths.start == 5
     fin = parse_hole_spec("variant=finite members=5,7\n")
-    assert fin.members == (5, 7)
+    assert fin.tail_kind() == "finite" and fin.lengths.flips == {5, 7}
     cof = parse_hole_spec("variant=cofinite_complement members=6\n")
     assert not cof.forbids(6) and cof.forbids(7)
     cus = parse_hole_spec("variant=custom tail=coinfinite members=5,7,11 bound=60\n")

@@ -64,6 +64,9 @@ def _lang(tmp_path, query, L):
 
 def test_cli_lang_structure_of_long_constant_factors(tmp_path):
     result = _lang(tmp_path, "structure", 13)
+    # the report keeps its seven keys: PeriodStructure.periods is not one
+    assert set(result) == {"gcd_r", "threshold_t0", "exceptions", "transitive",
+                           "nonconstant_variant", "observed", "verified_to"}
     assert result["transitive"] is True
     assert result["gcd_r"] == 1
     assert result["exceptions"] == [1]
@@ -77,7 +80,8 @@ def test_cli_lang_transitive_on_long_constant_factors(tmp_path):
 
 #: sha256 of the word layer's outputs on criterion 3's exhaustive pool and
 #: {>^L, <^L} for L = 2..10: the automaton's states in order, periodic_word
-#: for k <= 8 and every period_structure field, both variants.  Pins the
+#: for k <= 8 and the seven reported period_structure fields, both
+#: variants (`periods` is checked against the walk below).  Pins the
 #: breadth-first state order, the witness order, the structure read off
 #: the walk recurrence's first repeat and verified_to.
 WORD_LAYER_SHA256 = "37914b898d51ab69784440e06d12e43ab129d7c43faf6b9f87188507586dcc25"
@@ -91,7 +95,7 @@ def test_word_layer_is_pinned():
         rows.append(repr((sorted(A.members), words.automaton(A).states)))
         for nc in (False, True):
             rows.append(repr([periodic_word(A, k, nc) for k in range(1, 9)]))
-            rows.append(repr(dataclasses.astuple(period_structure(A, nc))))
+            rows.append(repr(dataclasses.astuple(period_structure(A, nc))[:7]))
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == WORD_LAYER_SHA256
 
 
@@ -165,23 +169,29 @@ def test_period_structure_stops_at_the_first_repeat(monkeypatch):
             assert ps.verified_to == 300
 
 
-def test_non_transitive_structure_is_the_enumerated_sample():
+def test_periods_are_the_walks_period_set():
+    # the walk to 600 is the oracle for the exact set, both variants,
+    # transitive or not (every walk repeats before the 300 budget), and the
+    # observed sample is the walk's to 300
     rng = random.Random(2718)
     pool = ["".join(p) for L in range(1, 7) for p in product("><", repeat=L)]
     seeded = [FactorSet(frozenset(rng.sample(pool, rng.randint(1, 6))))
               for _ in range(1000)]
-    checked = 0
-    for A in _criterion3_pool() + seeded:
-        if is_transitive(A):
-            continue
-        checked += 1
+    constant = [FactorSet(frozenset({">" * L, "<" * L})) for L in range(2, 11)]
+    non_transitive = 0
+    for A in _criterion3_pool() + seeded + constant:
+        transitive = is_transitive(A)
+        non_transitive += not transitive
         for nc in (False, True):
             ps = period_structure(A, nc)
-            assert ps.observed == tuple(sorted(enumerate_periods(A, 300, nc))), \
+            walk = enumerate_periods(A, 600, nc)
+            assert {k for k in range(-5, 601) if ps.contains(k)} == walk, \
                 (sorted(A.members), nc)
-            assert ps.gcd_r == math.gcd(*ps.observed)
-            assert (ps.threshold_t0, ps.exceptions, ps.verified_to) == (0, (), 300)
-    assert checked > 500
+            assert ps.observed == tuple(sorted(k for k in walk if k <= 300))
+            if not transitive:
+                assert ps.gcd_r == math.gcd(*ps.observed)
+                assert (ps.threshold_t0, ps.exceptions, ps.verified_to) == (0, (), 300)
+    assert non_transitive > 500
 
 
 def test_non_transitive_walk_stops_at_the_budget(monkeypatch):

@@ -265,8 +265,11 @@ def test_period_structure_nontransitive_reports_data_only():
     ps = period_structure(A)
     assert not ps.transitive
     assert ps.observed == tuple(range(1, 301))  # powers of '<'
-    with pytest.raises(ValueError):
-        ps.contains(4)
+    # the walk repeated, so its exact set answers beyond the sample
+    assert [k for k in range(-2, 1000) if ps.contains(k)] == list(range(1, 1000))
+    # cut before its first repeat, the walk answers nothing
+    with pytest.raises(ValueError, match="reached verify_to before it repeated"):
+        period_structure(A, verify_to=1).contains(4)
 
 
 def test_period_structure_refuses_a_verify_to_below_one():
